@@ -1,6 +1,6 @@
 """Reproduce paper Table 3: IPPV (h=3) vs LTDS runtimes and speedups.
 
-Usage: spark-submit jobs/table3_speedup.py [--tiny] [--spark-ippv] [--k 5]
+Usage: spark-submit jobs/table3_speedup.py [--tiny] [--k 5]
 """
 import sys
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from ..core.ippv import LhCDS
+from ..core.ippv import LhCDS, check_k
 from ..flow.networks import derive_compact, exact_decomposition, is_densest
 from ..graphs.local import LocalGraph
 
@@ -29,6 +29,7 @@ def flow_exact_lhcds(
     lg: LocalGraph, k: int | None = 5, stats: dict | None = None
 ) -> list[LhCDS]:
     """Exact top-k LhCDS by decomposition + full-graph flow verification."""
+    check_k(k)
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
     blocks = exact_decomposition(lg.vertices, lg.instances)

@@ -55,6 +55,12 @@ class LhCDS:
         return len(self.vertices)
 
 
+def check_k(k: int | None) -> None:
+    """Reject a top-k request for fewer than one result (``None`` = all)."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be None or at least 1, got {k}")
+
+
 def _core_loop(
     lg: LocalGraph,
     ub: dict[int, float],
@@ -69,6 +75,9 @@ def _core_loop(
     p = lg.p
     results: list[LhCDS] = []
     out_exact: dict[int, Fraction] = {}  # output vertex -> exact phi (Thm 1)
+    # reduced DeriveCompact problem -> its min-cut side; M is a pure
+    # function of the key, so near-tied candidates share one flow
+    compact_memo: dict = {}
     st.setdefault("t_propose", 0.0)
     st.setdefault("t_prune", 0.0)
     st.setdefault("t_verify", 0.0)
@@ -133,7 +142,7 @@ def _core_loop(
         if dense_ok:
             tv = time.perf_counter()
             if fast_verify:
-                ok = verify_fast(lg, S, ub, lb, out_exact, st)
+                ok = verify_fast(lg, S, ub, lb, out_exact, st, compact_memo)
             else:
                 ok = verify_basic(lg, S, st)
             st["t_verify"] += time.perf_counter() - tv
@@ -183,6 +192,7 @@ def ippv_local(
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """Run the whole pipeline on a driver-side LocalGraph (with instances)."""
+    check_k(k)
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
     cores = instance_core_numbers_local(lg.vertices, lg.instances)
@@ -204,6 +214,7 @@ def ippv_instances(
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """IPPV over an arbitrary instance hypergraph (Algorithm 7, LhxPDS)."""
+    check_k(k)
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
     edges_pdf = edges.toPandas()
@@ -259,6 +270,7 @@ def ippv(
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """Top-k LhCDS discovery (Algorithm 6). ``k=None`` finds all."""
+    check_k(k)
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
     instances = clique_instances(edges, h).localCheckpoint(eager=True)

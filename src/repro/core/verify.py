@@ -16,12 +16,16 @@ G. Three outcomes:
 - the BFS discovers nothing outside S -> S is maximal by construction
   (every vertex of a rho-compact supergraph has upper bound >= rho and
   would have been explored), return True with no flow at all;
-- the BFS meets a vertex of an already-output LhCDS or a plain-edge
-  neighbor whose *lower* bound exceeds rho -> the reduced network cannot
-  represent the possible extension, so fall back to ``verify_basic``
-  (conservative deviation, documented in DESIGN.md section 3);
+- a direct neighbour of S is an already-output LhCDS vertex of density
+  >= rho, or has a *lower* bound above rho -> it has phi >= rho, so S
+  plus that neighbour's rho-compact home is a strictly larger connected
+  rho-compact graph: reject S outright, with no flow (DESIGN.md
+  section 3.2);
 - otherwise solve the small DeriveCompact(G[T], rho - 1/|T|^2, P)
-  network and test S against its components (Theorem 6).
+  network and test S against its components (Theorem 6). The network's
+  min-cut side ``M`` is a pure function of ``(T, inner, boundary,
+  rho_eff)``, so a caller may pass a ``memo`` dict keyed by that problem
+  and candidates that reduce to the same problem share one flow.
 
 Callers must pass *globally valid* bounds (see DESIGN.md on bound
 scoping). Bound comparisons use a tolerance in the direction that only
@@ -155,13 +159,16 @@ def verify_fast(
     lb: dict[int, float],
     out_exact: dict[int, Fraction],
     stats: dict | None = None,
+    memo: dict | None = None,
 ) -> bool:
     """Algorithm 5: size-reduced verification.
 
     Preconditions: S is connected and self-densest (so G[S] itself is
     d(G[S])-compact), and bounds are globally valid. ``out_exact`` maps
     vertices of already-output LhCDSes to their exact densities (== their
-    exact compact numbers by Theorem 1).
+    exact compact numbers by Theorem 1). ``memo``, if given, caches the
+    DeriveCompact result per reduced problem; share it only across calls
+    on the same graph.
     """
     if stats is not None:
         stats["verify_fast"] = stats.get("verify_fast", 0) + 1
@@ -171,10 +178,13 @@ def verify_fast(
             stats["verify_shortcut"] = stats.get("verify_shortcut", 0) + 1
         return reduced[1]
     _tag, T, inner, boundary, rho_eff = reduced
-    if stats is not None:
-        stats["verify_flow"] = stats.get("verify_flow", 0) + 1
-        stats["flow_network_nodes"] = (
-            stats.get("flow_network_nodes", 0) + len(T) + len(inner) + len(boundary)
-        )
-    M = derive_compact(sorted(T), inner, lg.p, rho_eff, boundary)
-    return _is_component(lg, S, M)
+    memo = {} if memo is None else memo
+    key = (frozenset(T), tuple(inner), tuple(boundary), rho_eff)
+    if key not in memo:
+        if stats is not None:
+            stats["verify_flow"] = stats.get("verify_flow", 0) + 1
+            stats["flow_network_nodes"] = (
+                stats.get("flow_network_nodes", 0) + len(T) + len(inner) + len(boundary)
+            )
+        memo[key] = derive_compact(sorted(T), inner, lg.p, rho_eff, boundary)
+    return _is_component(lg, S, memo[key])

@@ -10,6 +10,7 @@ extracted; the paper's Theorem 5 needs the maximal one.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 
 class Dinic:
@@ -23,75 +24,105 @@ class Dinic:
         self.cap: list[int] = []
         self.head: list[list[int]] = [[] for _ in range(n)]
 
-    def add_edge(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
-        """Directed arc u->v with capacity ``cap`` (and optional reverse cap)."""
-        if cap < 0 or rcap < 0:
+    def add_edges(
+        self, us: Sequence[int], vs: Sequence[int], caps: Sequence[int]
+    ) -> None:
+        """Directed arcs ``us[i] -> vs[i]`` with capacity ``caps[i]``."""
+        if caps and min(caps) < 0:
             raise ValueError("negative capacity")
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rcap)
+        to, head = self.to, self.head
+        a = len(to)
+        for u, v in zip(us, vs):
+            head[u].append(a)
+            head[v].append(a + 1)
+            a += 2
+        new_to = [0] * (2 * len(caps))
+        new_to[0::2] = vs
+        new_to[1::2] = us
+        new_cap = [0] * (2 * len(caps))  # reverse arcs start empty
+        new_cap[0::2] = caps
+        to += new_to
+        self.cap += new_cap
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
+    def add_edge(self, u: int, v: int, cap: int) -> None:
+        """Directed arc u->v with capacity ``cap``."""
+        self.add_edges((u,), (v,), (cap,))
 
-    def _dfs(self, s: int, t: int) -> int:
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        """BFS levels of the residual graph, or None if t is unreachable.
+
+        The search stops at t's level, and the other nodes of that level
+        are left unlabelled: no shortest augmenting path runs through them.
+        """
+        to, cap, head = self.to, self.cap, self.head
+        level = [-1] * self.n
+        level[s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for a in head[u]:
+                    if cap[a]:
+                        v = to[a]
+                        if level[v] < 0:
+                            level[v] = d
+                            nxt.append(v)
+            if level[t] >= 0:
+                for v in nxt:
+                    level[v] = -1
+                level[t] = d
+                return level
+            frontier = nxt
+        return None
+
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
         """One blocking-flow phase (iterative DFS with arc pointers)."""
+        to, cap, head = self.to, self.cap, self.head
         flow = 0
         it = [0] * self.n
         path: list[int] = []  # arc indices from s to the current node
         u = s
         while True:
             if u == t:
-                pushed = min(self.cap[a] for a in path)
-                for a in path:
-                    self.cap[a] -= pushed
-                    self.cap[a ^ 1] += pushed
+                pushed = min([cap[a] for a in path])
+                cut = -1
+                for i, a in enumerate(path):
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                    if cut < 0 and not cap[a]:
+                        cut = i
                 flow += pushed
                 # retreat to just before the first saturated arc
-                for i, a in enumerate(path):
-                    if self.cap[a] == 0:
-                        del path[i:]
-                        break
-                u = s if not path else self.to[path[-1]]
+                del path[cut:]
+                u = to[path[-1]] if path else s
                 continue
-            advanced = False
-            while it[u] < len(self.head[u]):
-                a = self.head[u][it[u]]
-                v = self.to[a]
-                if self.cap[a] > 0 and self.level[v] == self.level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
+            arcs = head[u]
+            i, end, want = it[u], len(arcs), level[u] + 1
+            while i < end:
+                a = arcs[i]
+                if cap[a] and level[to[a]] == want:
                     break
-                it[u] += 1
-            if advanced:
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(arcs[i])
+                u = to[arcs[i]]
                 continue
             if u == s:
                 return flow
             # dead end: remove u from the level graph and retreat; the
             # predecessor's pointer still aims at the arc into u, which the
             # admissibility check now rejects (level[u] == -1) and skips.
-            self.level[u] = -1
+            level[u] = -1
             path.pop()
-            u = s if not path else self.to[path[-1]]
+            u = to[path[-1]] if path else s
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        while self._bfs(s, t):
-            total += self._dfs(s, t)
+        while (level := self._levels(s, t)) is not None:
+            total += self._blocking_flow(s, t, level)
         return total
 
     # ------------------------------------------------------------- cut sides

@@ -1,4 +1,4 @@
-"""The paper's flow networks, solved exactly (Fractions scaled to ints).
+"""The paper's flow networks, solved exactly in integer capacities.
 
 Three constructions, all driver-side (the networks are deliberately small
 — the fast verifier's whole point is shrinking them — and capacities must
@@ -19,6 +19,15 @@ be exact rationals):
   diminishingly-dense decomposition by marginal density. By Theorem 2 the
   block densities are exactly the h-clique compact numbers; this is the
   exactness fallback and the flow-exact baseline (LTDS/LDSflow stand-in).
+
+Every capacity is a rational with a denominator known up front, so each
+network is built directly in integers, scaled by one common multiple:
+``L = lcm(rho.denominator, every boundary cnt)`` for DeriveCompact (a
+boundary share ``h/cnt`` becomes ``h*L//cnt``), ``2|S|^2`` for IsDensest
+(its sink capacity ``|Psi(S)|/|S| + 1/(2|S|^2)`` becomes
+``2|S||Psi(S)| + 1``), and ``rho.denominator`` for each Dinkelbach step.
+Scaling every capacity by the same positive integer leaves the min cuts
+unchanged.
 """
 from __future__ import annotations
 
@@ -29,14 +38,6 @@ from typing import Iterable, Mapping, Sequence
 from .dinic import Dinic
 
 Instance = tuple[int, ...]
-
-
-def _scaled(caps: list[Fraction]) -> list[int]:
-    """Scale a capacity list by the lcm of denominators; exact ints out."""
-    L = 1
-    for c in caps:
-        L = math.lcm(L, c.denominator)
-    return [int(c * L) for c in caps]
 
 
 def derive_compact(
@@ -56,34 +57,44 @@ def derive_compact(
     """
     verts = list(vertices)
     vid = {v: i + 1 for i, v in enumerate(verts)}  # 0 = source
-    n_nodes = 1 + len(verts) + len(instances) + len(boundary) + 1
-    t = n_nodes - 1
     inst_base = 1 + len(verts)
     bnd_base = inst_base + len(instances)
+    t = bnd_base + len(boundary)
 
-    deg: dict[int, Fraction] = {v: Fraction(0) for v in verts}
-    arcs: list[tuple[int, int, Fraction]] = []
+    rho = Fraction(rho)
+    L = rho.denominator
+    for _members, cnt in boundary:
+        L = math.lcm(L, cnt)
+    back = (h - 1) * L
+    deg = [0] * inst_base  # by node id: scaled instance weight per vertex
+    us: list[int] = []
+    vs: list[int] = []
+    caps: list[int] = []
     for i, inst in enumerate(instances):
         nid = inst_base + i
         for v in inst:
-            arcs.append((nid, vid[v], Fraction(h - 1)))
-            arcs.append((vid[v], nid, Fraction(1)))
-            deg[v] += 1
+            x = vid[v]
+            us += (nid, x)
+            vs += (x, nid)
+            caps += (back, L)
+            deg[x] += L
     for j, (members, cnt) in enumerate(boundary):
         nid = bnd_base + j
-        share = 1 + Fraction(h - cnt, cnt)
+        share = h * L // cnt  # 1 + (h - cnt)/cnt, scaled
         for v in members:
-            arcs.append((nid, vid[v], Fraction(h - 1)))
-            arcs.append((vid[v], nid, share))
-            deg[v] += share
-    for v in verts:
-        arcs.append((vid[v], t, rho * h))
-        arcs.append((0, vid[v], deg[v]))
+            x = vid[v]
+            us += (nid, x)
+            vs += (x, nid)
+            caps += (back, share)
+            deg[x] += share
+    sink = rho.numerator * h * (L // rho.denominator)
+    for x in range(1, inst_base):
+        us += (x, 0)
+        vs += (t, x)
+        caps += (sink, deg[x])
 
-    caps = _scaled([c for _, _, c in arcs])
-    net = Dinic(n_nodes)
-    for (u, w, _), c in zip(arcs, caps):
-        net.add_edge(u, w, c)
+    net = Dinic(t + 1)
+    net.add_edges(us, vs, caps)
     net.max_flow(0, t)
     side = net.max_cut_source_side(t)
     return {v for v in verts if vid[v] in side}
@@ -101,25 +112,33 @@ def is_densest(
     k = len(instances)
     if k == 0:
         return True  # density 0; no subgraph can be denser than 0? subgraphs also 0
-    rho = Fraction(k, n) + Fraction(1, 2 * n * n)
+    # capacities scaled by L = 2n^2: unit arcs become L, the sink arcs at
+    # rho = k/n + 1/(2n^2) become 2nk + 1, and (k + 1) stands for infinity
+    L = 2 * n * n
     vid = {v: i + 1 for i, v in enumerate(verts)}
     inst_base = 1 + n
     t = inst_base + k
-    net_caps: list[tuple[int, int, Fraction]] = []
+    inf = (k + 1) * L
+    us: list[int] = []
+    vs: list[int] = []
+    caps: list[int] = []
     for i, inst in enumerate(instances):
-        net_caps.append((0, inst_base + i, Fraction(1)))
+        nid = inst_base + i
+        us.append(0)
+        vs.append(nid)
+        caps.append(L)
         for v in inst:
-            net_caps.append((inst_base + i, vid[v], Fraction(k + 1)))  # effectively inf
-    for v in verts:
-        net_caps.append((vid[v], t, rho))
-    caps = _scaled([c for _, _, c in net_caps])
-    scale = caps[0]  # capacity of a unit arc after scaling
+            us.append(nid)
+            vs.append(vid[v])
+            caps.append(inf)
+    us += range(1, inst_base)
+    vs += [t] * n
+    caps += [2 * n * k + 1] * n
     net = Dinic(t + 1)
-    for (u, w, _), c in zip(net_caps, caps):
-        net.add_edge(u, w, c)
+    net.add_edges(us, vs, caps)
     flow = net.max_flow(0, t)
     # min cut == k  <=>  max over S' of |Psi(S')| - rho|S'| == 0 (empty set)
-    return flow == k * scale
+    return flow == k * L
 
 
 def densest_sub(
@@ -144,25 +163,36 @@ def densest_sub(
     inst_base = 1 + len(verts)
     t = inst_base + len(edges)
 
+    # the arcs are the same at every rho; only the scaling changes. Unit
+    # capacities below are multiplied by rho's denominator, and the sink
+    # arcs (rho each) become rho's numerator.
+    us: list[int] = []
+    vs: list[int] = []
+    units: list[int] = []
+    for i, (members, w) in enumerate(edges):
+        nid = inst_base + i
+        us.append(0)
+        vs.append(nid)
+        units.append(w)
+        for v in members:
+            us.append(nid)
+            vs.append(vid[v])
+            units.append(W + 1)  # effectively infinite
+    us += range(1, inst_base)
+    vs += [t] * len(verts)
+
     def solve(rho: Fraction) -> tuple[set[int], Fraction]:
-        # direct integer scaling by rho's denominator (cheaper than a
-        # generic lcm pass; every other capacity is already integral)
         L = rho.denominator
         net = Dinic(t + 1)
-        inf = (W + 1) * L
-        for i, (members, w) in enumerate(edges):
-            net.add_edge(0, inst_base + i, w * L)
-            for v in members:
-                net.add_edge(inst_base + i, vid[v], inf)
-        for v in verts:
-            net.add_edge(vid[v], t, rho.numerator)
+        net.add_edges(us, vs, [c * L for c in units] + [rho.numerator] * len(verts))
         net.max_flow(0, t)
         side = net.max_cut_source_side(t)
         S = {v for v in verts if vid[v] in side}
         fS = sum(w for members, w in edges if all(v in S for v in members))
         return S, (Fraction(fS, len(S)) if S else Fraction(0))
 
-    rho = Fraction(0)
+    # at rho = 0 the maximal maximizer is always V itself, so start at d(V)
+    rho = Fraction(W, len(verts))
     best: set[int] = set(verts)
     while True:
         S, d = solve(rho)

@@ -142,8 +142,8 @@ class LocalGraph:
         Degree-ordered DAG expansion, the same strategy the Spark
         enumerator uses; used for tests and tiny-graph oracles.
         """
-        if h == 1:
-            return [(v,) for v in self.vertices]
+        if h < 2:
+            raise ValueError("h >= 2 required (h=2 cliques are edges)")
         rank = {v: (len(self.adj[v]), v) for v in self.vertices}
         out = {v: sorted(w for w in self.adj[v] if rank[w] > rank[v]) for v in self.vertices}
         res: list[tuple[int, ...]] = []

@@ -47,9 +47,11 @@ def test_disconnected_sink():
 
 
 def test_rejects_negative_capacity():
-    d = Dinic(2)
+    d = Dinic(3)
     with pytest.raises(ValueError):
         d.add_edge(0, 1, -1)
+    with pytest.raises(ValueError):
+        d.add_edges([0, 1], [1, 2], [4, -2])
 
 
 def _brute_min_cut(n, arcs, s, t):
@@ -105,3 +107,23 @@ def test_big_integer_capacities():
     d.add_edge(0, 1, 10**18)
     d.add_edge(1, 2, 10**18 - 1)
     assert d.max_flow(0, 2) == 10**18 - 1
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_bulk_matches_per_arc(trial):
+    """``add_edges`` builds the same network as one ``add_edge`` per arc."""
+    rng = random.Random(trial)
+    n = rng.randint(4, 8)
+    arcs = [
+        (u, v, rng.randint(1, 9))
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < 0.5
+    ]
+    one, bulk = Dinic(n), Dinic(n)
+    for u, v, c in arcs:
+        one.add_edge(u, v, c)
+    bulk.add_edges([u for u, _, _ in arcs], [v for _, v, _ in arcs], [c for *_, c in arcs])
+    assert bulk.max_flow(0, n - 1) == one.max_flow(0, n - 1)
+    assert bulk.min_cut_source_side(0) == one.min_cut_source_side(0)
+    assert bulk.max_cut_source_side(n - 1) == one.max_cut_source_side(n - 1)

@@ -14,7 +14,7 @@ import pytest
 from repro import synth_data as sd
 from repro.baselines.flow_exact import flow_exact_lhcds
 from repro.core.bruteforce import brute_lhcds
-from repro.core.ippv import ippv, ippv_local
+from repro.core.ippv import ippv, ippv_instances, ippv_local
 from repro.graphs import edgelist as el
 from repro.graphs.local import LocalGraph, local_from_pandas
 
@@ -123,6 +123,30 @@ def test_stats_are_populated():
     assert st["t_bounds"] >= 0 and "t_verify" in st and "t_propose" in st
 
 
-def test_k_zero_and_empty_graph():
+def test_clique_free_graph_returns_empty():
     lg = LocalGraph(edges=[(0, 1)], instances=[], p=3)
     assert ippv_local(lg, k=5) == []
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(spark, k):
+    lg = LocalGraph(edges=[(0, 1), (1, 2), (0, 2)]).with_cliques(3)
+    edges = spark.createDataFrame(lg.edges, "src long, dst long")
+    instances = spark.createDataFrame([(0, v) for v in range(3)], "iid long, v long")
+    for run in (
+        lambda: ippv_local(lg, k=k),
+        lambda: flow_exact_lhcds(lg, k=k),
+        lambda: ippv(spark, edges, h=3, k=k),
+        lambda: ippv_instances(spark, edges, instances, p=3, k=k),
+    ):
+        with pytest.raises(ValueError):
+            run()
+
+
+@pytest.mark.parametrize("h", [1, 0, -1])
+def test_h_below_two_rejected(h):
+    lg = LocalGraph(edges=[(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError):
+        lg.with_cliques(h)
+    with pytest.raises(ValueError):
+        lg.enumerate_cliques(h)

@@ -1,6 +1,8 @@
 """Flow networks vs brute-force Definitions 1/4 on random tiny graphs."""
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -33,7 +35,7 @@ def test_compact_numbers_exact_vs_bruteforce(seed, h):
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("h", [2, 3, 4])
 def test_derive_compact_vs_bruteforce(seed, h):
     """Theorem 5: DeriveCompact(G, rho - 1/n^2) is the union of all maximal
     h-clique rho-compact subgraphs."""
@@ -54,7 +56,40 @@ def test_derive_compact_vs_bruteforce(seed, h):
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_derive_compact_with_boundary_vs_bruteforce(seed, h):
+    """Algorithm 5's P: a boundary instance with ``cnt`` members inside
+    counts as one instance on those members (each carries ``h/cnt`` of its
+    weight), so DeriveCompact returns the maximal maximizer of
+    ``|inner(X)| + |P(X)| - rho|X|``. Boundary sizes up to h - 1 exercise
+    every ``lcm(rho.denominator, cnt)`` scaling."""
+    rng = random.Random(seed)
+    verts = list(range(rng.randint(h + 1, 9)))
+    inner = [tuple(sorted(rng.sample(verts, h))) for _ in range(rng.randint(1, 8))]
+    boundary = []
+    for _ in range(rng.randint(1, 6)):
+        members = tuple(sorted(rng.sample(verts, rng.randint(1, h - 1))))
+        boundary.append((members, len(members)))
+    hyper = inner + [m for m, _ in boundary]
+
+    def value(X, rho):
+        return sum(1 for e in hyper if X.issuperset(e)) - rho * len(X)
+
+    subsets = [
+        {v for i, v in enumerate(verts) if mask >> i & 1}
+        for mask in range(1 << len(verts))
+    ]
+    densities = {Fraction(sum(1 for e in hyper if X.issuperset(e)), len(X)) for X in subsets if X}
+    # at rho = a density itself, ties decide the maximal maximizer exactly
+    for d in densities - {Fraction(0)}:
+        for rho in (d, d - Fraction(1, len(verts) ** 2)):
+            best = max(value(X, rho) for X in subsets)
+            ref = set().union(*(X for X in subsets if value(X, rho) == best))
+            assert derive_compact(verts, inner, h, rho, boundary) == ref
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("h", [2, 3, 4])
 def test_is_densest_vs_bruteforce(seed, h):
     lg = _random_graph(seed).with_cliques(h)
     mk = _Masks(lg)
@@ -100,6 +135,13 @@ def test_exact_decomposition_structure(seed):
     assert sorted(flat) == sorted(lg.vertices)
     dens = [d for _, d in blocks]
     assert all(a > b for a, b in zip(dens, dens[1:]))
+
+
+@pytest.mark.parametrize("q,h", [(3, 2), (5, 3), (6, 4), (7, 5)])
+def test_densest_sub_on_clique_is_whole_clique(q, h):
+    lg = LocalGraph(edges=list(combinations(range(q), 2))).with_cliques(h)
+    S, d = densest_sub(lg.vertices, {t: 1 for t in lg.instances})
+    assert S == set(range(q)) and d == Fraction(comb(q, h), q)
 
 
 def test_densest_sub_empty():

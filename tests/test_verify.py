@@ -38,7 +38,7 @@ def _core_bounds(lg):
     )
 
 
-def _candidates(lg, rng):
+def _candidates(lg, rng, limit=8):
     """Self-densest connected subsets (the only inputs verify sees)."""
     mk = _Masks(lg)
     out = []
@@ -49,7 +49,7 @@ def _candidates(lg, rng):
         if is_densest(sorted(S), lg.instances_within(S), lg.p):
             out.append(S)
     rng.shuffle(out)
-    return out[:8]
+    return out[:limit]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -63,7 +63,7 @@ def test_verify_basic_matches_definition(seed, h):
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("h", [2, 3, 4])
 @pytest.mark.parametrize("bounds", ["exact", "core"])
 def test_verify_fast_matches_definition(seed, h, bounds):
     lg = _random_graph(seed).with_cliques(h)
@@ -72,6 +72,20 @@ def test_verify_fast_matches_definition(seed, h, bounds):
     rng = random.Random(seed)
     for S in _candidates(lg, rng):
         assert verify_fast(lg, S, ub, lb, {}) == (frozenset(S) in true_lhcds), S
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_shared_memo_keeps_verdicts(seed, h):
+    """One DeriveCompact memo shared by every candidate of a graph (as
+    ``_core_loop`` does) leaves each verdict equal to brute force."""
+    lg = _random_graph(seed).with_cliques(h)
+    true_lhcds = {frozenset(S) for S, d in brute_lhcds(lg) if d > 0}
+    ub, lb = _core_bounds(lg)
+    memo = {}
+    cands = _candidates(lg, random.Random(seed), limit=None)
+    for S in cands + cands:  # the second pass answers from the memo
+        assert verify_fast(lg, S, ub, lb, {}, memo=memo) == (frozenset(S) in true_lhcds), S
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,8 +1,9 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""Shared plumbing for the job entrypoints.
 
-Each job is ``spark-submit jobs/<name>.py [--tiny] [--datasets A B ...]``.
-When run under pytest the active session-fixture SparkSession is reused
-and not stopped; standalone runs create (and own) their session.
+Each job is ``python jobs/<name>.py [--tiny] [--datasets A B ...]``.
+Only ``table2_stats`` uses Spark (``spark-submit`` runs it too): under
+pytest it reuses the active session-fixture SparkSession and does not
+stop it; a standalone run creates (and owns) its session.
 """
 from __future__ import annotations
 

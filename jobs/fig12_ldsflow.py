@@ -1,20 +1,17 @@
 """Reproduce paper Figure 12 (as a table): IPPV (h=2) vs LDSflow.
 
-Usage: spark-submit jobs/fig12_ldsflow.py [--tiny] [--k 5]
+Usage: python jobs/fig12_ldsflow.py [--tiny] [--k 5]
 """
 import sys
 
-from _util import dataset_args, get_session
+from _util import dataset_args
 
 
 def main(argv=None) -> None:
     args = dataset_args(argv, __doc__)
-    spark, owns = get_session("fig12")
     from repro.experiments import fig12_rows, format_table
 
     print(format_table(fig12_rows(args.datasets, k=args.k), "Figure 12: IPPV (h=2) vs LDSflow"))
-    if owns:
-        spark.stop()
 
 
 if __name__ == "__main__":

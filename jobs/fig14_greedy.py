@@ -1,21 +1,18 @@
 """Reproduce paper Figure 14 (as a table): size and h-clique density of
 the subgraphs returned by IPPV vs the Greedy CDS baseline.
 
-Usage: spark-submit jobs/fig14_greedy.py [--tiny] [--k 5]
+Usage: python jobs/fig14_greedy.py [--tiny] [--k 5]
 """
 import sys
 
-from _util import dataset_args, get_session
+from _util import dataset_args
 
 
 def main(argv=None) -> None:
     args = dataset_args(argv, __doc__)
-    spark, owns = get_session("fig14")
     from repro.experiments import fig14_rows, format_table
 
     print(format_table(fig14_rows(args.datasets, k=args.k), "Figure 14: IPPV vs Greedy"))
-    if owns:
-        spark.stop()
 
 
 if __name__ == "__main__":

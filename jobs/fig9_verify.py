@@ -1,16 +1,15 @@
 """Reproduce paper Figure 9/10 (as a table): IPPV with the basic vs the
 fast verification algorithm.
 
-Usage: spark-submit jobs/fig9_verify.py [--tiny] [--datasets ...]
+Usage: python jobs/fig9_verify.py [--tiny] [--datasets ...]
 """
 import sys
 
-from _util import dataset_args, get_session
+from _util import dataset_args
 
 
 def main(argv=None) -> None:
     args = dataset_args(argv, __doc__)
-    spark, owns = get_session("fig9")
     from repro.experiments import fig9_rows, format_table
 
     print(
@@ -19,8 +18,6 @@ def main(argv=None) -> None:
             "Figure 9/10: basic vs fast verification (total IPPV runtime)",
         )
     )
-    if owns:
-        spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,21 +1,18 @@
 """Reproduce paper Table 3: IPPV (h=3) vs LTDS runtimes and speedups.
 
-Usage: spark-submit jobs/table3_speedup.py [--tiny] [--k 5]
+Usage: python jobs/table3_speedup.py [--tiny] [--k 5]
 """
 import sys
 
-from _util import dataset_args, get_session
+from _util import dataset_args
 
 
 def main(argv=None) -> None:
     args = dataset_args(argv, __doc__)
-    spark, owns = get_session("table3")
     from repro.experiments import format_table, table3_rows
 
     rows = table3_rows(None, args.datasets, k=args.k, h=3)
     print(format_table(rows, "Table 3: IPPV (h=3) vs LTDS"))
-    if owns:
-        spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,16 +1,15 @@
 """Reproduce paper Table 5: average clustering coefficient of the
 detected LhCDSes for h in {2, 3, 5, 7, 9}.
 
-Usage: spark-submit jobs/table5_clustering.py [--tiny] [--k 5]
+Usage: python jobs/table5_clustering.py [--tiny] [--k 5]
 """
 import sys
 
-from _util import dataset_args, get_session
+from _util import dataset_args
 
 
 def main(argv=None) -> None:
     args = dataset_args(argv, __doc__)
-    spark, owns = get_session("table5")
     from repro.experiments import format_table, table5_rows
 
     print(
@@ -19,8 +18,6 @@ def main(argv=None) -> None:
             "Table 5: average clustering coefficient across h",
         )
     )
-    if owns:
-        spark.stop()
 
 
 if __name__ == "__main__":

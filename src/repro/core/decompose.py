@@ -1,11 +1,10 @@
 """Tentative graph decomposition and stable h-clique groups (Algorithm 2).
 
-``tentative_gd_spark`` / ``tentative_gd_local`` implement TentativeGD:
-sort vertices by r descending, cut at every prefix whose instance density
-dominates all longer prefixes (the diminishingly-dense prefix partition,
-computed with window functions in the Spark variant), then reassign the
-weight of every instance straddling multiple pieces to its last-touched
-piece and recompute r.
+``tentative_gd_local`` implements TentativeGD: sort vertices by r
+descending, cut at every prefix whose instance density dominates all
+longer prefixes (the diminishingly-dense prefix partition), then reassign
+the weight of every instance straddling multiple pieces to its
+last-touched piece and recompute r.
 
 ``derive_stable_groups`` is DeriveSG: the sequential merge scan over the
 pieces. After TentativeGD's reassignment, Definition 6's alpha conditions
@@ -18,17 +17,16 @@ tolerance — floating-point noise can only *merge more* (coarser
 candidates), never split a true stable group, which keeps every LhCDS
 inside a single candidate (the pipeline's exactness invariant).
 
-Theorem 4 then bounds every member's compact number by the group's
-[min r, max r], which tightens the global bounds (top level only —
-recursion-level upper bounds are only valid within the subgraph, see
+Theorem 4 then bounds every member's compact number in the solved
+(sub)graph by the group's [min r, max r]. The minimum is a valid global
+lower bound; the maximum caps the density of any LhCDS inside the group
+but is not used as a vertex upper bound. The globally valid upper bounds
+are the initial core bounds plus Theorem 1 pins on output vertices (see
 DESIGN.md section 3).
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
 Instance = tuple[int, ...]
 
@@ -36,68 +34,10 @@ Instance = tuple[int, ...]
 SEP_TOL = 1e-9
 
 
-def tentative_gd_spark(
-    instances: DataFrame, alpha: DataFrame, r: DataFrame
-) -> tuple[list[list[int]], dict[int, float]]:
-    """TentativeGD on DataFrames; returns (ordered pieces, recomputed r)."""
-    w_pos = Window.orderBy(F.desc("r"), F.asc("v"))
-    vpos = r.withColumn("pos", F.row_number().over(w_pos)).localCheckpoint(eager=True)
-
-    mpos = (
-        instances.join(vpos.select("v", "pos"), "v")
-        .groupBy("iid")
-        .agg(F.max("pos").alias("mpos"))
-    )
-    cnt = mpos.groupBy("mpos").agg(F.count("*").alias("cnt"))
-    w_cum = Window.orderBy("pos").rowsBetween(Window.unboundedPreceding, 0)
-    w_suf = Window.orderBy(F.desc("pos")).rowsBetween(Window.unboundedPreceding, 0)
-    dens = (
-        vpos.join(cnt, vpos["pos"] == cnt["mpos"], "left")
-        .select("v", "pos", F.coalesce("cnt", F.lit(0)).alias("cnt"))
-        .withColumn("cum", F.sum("cnt").over(w_cum))
-        .withColumn("dens", F.col("cum") / F.col("pos"))
-        .withColumn("sufmax", F.max("dens").over(w_suf))
-        .withColumn("bnd", (F.col("dens") >= F.col("sufmax")).cast("int"))
-    )
-    w_prev = Window.orderBy("pos").rowsBetween(Window.unboundedPreceding, -1)
-    vgrp = dens.withColumn(
-        "grp", F.lit(1) + F.coalesce(F.sum("bnd").over(w_prev), F.lit(0))
-    ).select("v", "pos", "grp").localCheckpoint(eager=True)
-
-    ma = alpha.join(vgrp.select("v", "grp"), "v")
-    imax = ma.groupBy("iid").agg(F.max("grp").alias("pmax"))
-    ma = ma.join(imax, "iid")
-    stat = ma.groupBy("iid").agg(
-        F.sum(F.when(F.col("grp") < F.col("pmax"), F.col("alpha")).otherwise(0.0)).alias("s"),
-        F.sum(F.when(F.col("grp") == F.col("pmax"), 1).otherwise(0)).alias("cntp"),
-    )
-    new_alpha = ma.join(stat, "iid").select(
-        "iid",
-        "v",
-        F.when(
-            F.col("grp") == F.col("pmax"),
-            F.col("alpha") + F.col("s") / F.col("cntp"),
-        )
-        .otherwise(0.0)
-        .alias("alpha"),
-    )
-    new_r = new_alpha.groupBy("v").agg(F.sum("alpha").alias("r"))
-    pdf = (
-        vgrp.join(new_r, "v", "left")
-        .fillna(0.0, subset=["r"])
-        .select("v", "pos", "grp", "r")
-        .toPandas()
-        .sort_values("pos")
-    )
-    pieces = [g["v"].astype(int).tolist() for _, g in pdf.groupby("grp", sort=True)]
-    rmap = dict(zip(pdf["v"].astype(int), pdf["r"].astype(float)))
-    return pieces, rmap
-
-
 def tentative_gd_local(
     instances: list[Instance], alpha: np.ndarray, r: dict[int, float]
 ) -> tuple[list[list[int]], dict[int, float]]:
-    """Driver-side TentativeGD with identical semantics."""
+    """TentativeGD; returns (ordered pieces, recomputed r)."""
     verts = sorted(r, key=lambda v: (-r[v], v))
     pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)

@@ -1,11 +1,13 @@
 """IPPV: the Iterative Propose-Prune-and-Verify pipeline (Algorithms 6/7).
 
-The top-level round runs on Spark (instance enumeration, core-number
-peeling for InitializeBd, batch Frank-Wolfe, window-function TentativeGD,
-join-based pruning); candidate refinement rounds run on the driver mirror
-(the subproblems are small by construction). Verification is exact
-max-flow either way. The loop keeps three invariants that make the output
-provably the exact top-k (see DESIGN.md section 3):
+Spark does the scan-shaped work only: ``ippv`` enumerates the h-cliques
+and ``ippv_instances`` takes any instance table (the section-5 LhxPDS
+extension). Both collect edges and instances once into a driver-side
+LocalGraph and hand it to ``ippv_local``, which runs every later stage
+there: core-number bounds (InitializeBd), Frank-Wolfe, TentativeGD,
+DeriveSG, pruning and exact max-flow verification. The loop keeps three
+invariants that make the output provably the exact top-k (see DESIGN.md
+section 3):
 
 1. every LhCDS of G is fully contained in exactly one stacked candidate
    (stable groups cannot split a uniform-phi set; refinement by exact
@@ -15,29 +17,22 @@ provably the exact top-k (see DESIGN.md section 3):
    maximal-compactness verification);
 3. the loop stops early only when every remaining candidate's compact
    number upper bound is strictly below the current k-th best density.
-
-Entry points: ``ippv`` (h-clique, Spark), ``ippv_instances`` (any
-instance hypergraph, Spark — the section-5 LhxPDS extension), and
-``ippv_local`` (same pipeline entirely on a driver-side LocalGraph, used
-by tests, tiny recursion rounds, and the baselines' IPPV variant).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 
 from ..flow.networks import densest_sub, is_densest
 from ..graphs.cliques import clique_instances, instances_to_local
-from ..graphs.cores import instance_core_numbers, instance_core_numbers_local
-from ..graphs.edgelist import vertices as vertices_of
+from ..graphs.cores import instance_core_numbers_local
 from ..graphs.local import LocalGraph
-from .decompose import derive_stable_groups, tentative_gd_local, tentative_gd_spark
-from .fw import fw_local, fw_spark
-from .prune import prune_local, prune_spark
+from .decompose import derive_stable_groups, tentative_gd_local
+from .fw import fw_local
+from .prune import prune_local
 from .verify import candidate_density, verify_basic, verify_fast
 
 TOL = 1e-9
@@ -69,7 +64,6 @@ def _core_loop(
     T: int,
     fast_verify: bool,
     st: dict,
-    top_propose: Callable[[], list[tuple[set[int], float]]] | None,
 ) -> list[LhCDS]:
     """The Algorithm-6 stack loop over a prepared LocalGraph + bounds."""
     p = lg.p
@@ -83,7 +77,7 @@ def _core_loop(
     st.setdefault("t_verify", 0.0)
 
     def propose_sub(work: set[int], cap: float) -> list[tuple[set[int], float]]:
-        """Recursion-round ProposeCL + Prune on the driver mirror.
+        """ProposeCL + Prune over ``work`` (the whole graph, then candidates).
 
         ``cap`` is the parent candidate's density cap; any LhCDS D inside a
         sub-stable-group has density d(D) = phi^{G[work]}(D) <= the group's
@@ -111,10 +105,7 @@ def _core_loop(
             if set(m) & alive
         ]
 
-    if top_propose is not None:
-        first = top_propose()
-    else:
-        first = propose_sub(set(lg.vertices), float("inf"))
+    first = propose_sub(set(lg.vertices), float("inf"))
     stack: list[tuple[set[int], float]] = list(reversed(first))
 
     while stack:
@@ -199,7 +190,7 @@ def ippv_local(
     ub = {v: float(cores.get(v, 0)) for v in lg.vertices}
     lb = {v: cores.get(v, 0) / lg.p for v in lg.vertices}
     st["t_bounds"] = time.perf_counter() - t0
-    return _core_loop(lg, ub, lb, k, T, fast_verify, st, top_propose=None)
+    return _core_loop(lg, ub, lb, k, T, fast_verify, st)
 
 
 def ippv_instances(
@@ -210,10 +201,13 @@ def ippv_instances(
     k: int | None = 5,
     T: int = 10,
     fast_verify: bool = True,
-    spark_propose: bool = True,
     stats: dict | None = None,
 ) -> list[LhCDS]:
-    """IPPV over an arbitrary instance hypergraph (Algorithm 7, LhxPDS)."""
+    """IPPV over an arbitrary instance hypergraph (Algorithm 7, LhxPDS).
+
+    Collects the canonical ``edges`` and the long ``(iid, v)`` instance
+    table into a LocalGraph, then runs ``ippv_local`` on it.
+    """
     check_k(k)
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
@@ -226,37 +220,7 @@ def ippv_instances(
     )
     st["n"], st["m"], st["instances"] = lg.n, lg.m, len(inst_list)
     st["t_mirror"] = time.perf_counter() - t0
-
-    if not spark_propose:
-        res = ippv_local(lg, k, T, fast_verify, st)
-        return res
-
-    # ---- InitializeBd (Algorithm 1) on Spark -------------------------------
-    t0 = time.perf_counter()
-    core_df = instance_core_numbers(spark, vertices_of(edges), instances)
-    cores = {int(r["v"]): int(r["core"]) for r in core_df.collect()}
-    ub = {v: float(cores.get(v, 0)) for v in lg.vertices}
-    lb = {v: cores.get(v, 0) / p for v in lg.vertices}
-    st["t_bounds"] = time.perf_counter() - t0
-
-    def top_propose() -> list[tuple[set[int], float]]:
-        tp = time.perf_counter()
-        alpha_df, r_df = fw_spark(instances, p, T)
-        pieces, r = tentative_gd_spark(instances, alpha_df, r_df)
-        groups = derive_stable_groups(pieces, r)
-        for members, gmin, gmax in groups:
-            for v in members:
-                lb[v] = max(lb[v], gmin - TOL)
-                ub[v] = min(ub[v], gmax + TOL)
-        st["t_propose"] = st.get("t_propose", 0.0) + time.perf_counter() - tp
-        tp = time.perf_counter()
-        alive = prune_spark(spark, edges, lg, ub, lb)
-        st["t_prune"] = st.get("t_prune", 0.0) + time.perf_counter() - tp
-        return [
-            (set(m) & alive, gmax + TOL) for m, _gmin, gmax in groups if set(m) & alive
-        ]
-
-    return _core_loop(lg, ub, lb, k, T, fast_verify, st, top_propose)
+    return ippv_local(lg, k, T, fast_verify, st)
 
 
 def ippv(
@@ -266,23 +230,17 @@ def ippv(
     k: int | None = 5,
     T: int = 10,
     fast_verify: bool = True,
-    spark_propose: bool = True,
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """Top-k LhCDS discovery (Algorithm 6). ``k=None`` finds all."""
     check_k(k)
-    st = stats if stats is not None else {}
-    t0 = time.perf_counter()
-    instances = clique_instances(edges, h).localCheckpoint(eager=True)
-    st["t_enumerate"] = time.perf_counter() - t0
     return ippv_instances(
         spark,
         edges,
-        instances,
+        clique_instances(edges, h),
         p=h,
         k=k,
         T=T,
         fast_verify=fast_verify,
-        spark_propose=spark_propose,
-        stats=st,
+        stats=stats,
     )

@@ -73,9 +73,8 @@ def reduce_candidate(
 
     Returns ``("decided", bool)`` when the BFS settles the verdict without
     any flow, or ``("flow", T, inner, boundary, rho_eff)`` — the
-    size-reduced DeriveCompact problem — otherwise. ``verify_fast`` solves
-    it inline; ``repro.flow.parallel`` ships many such problems to Spark
-    executors as per-partition computations.
+    size-reduced DeriveCompact problem — otherwise, which ``verify_fast``
+    solves or finds in its memo.
     """
     h = lg.p
     rho = candidate_density(lg, S)

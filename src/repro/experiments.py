@@ -141,12 +141,11 @@ def table3_rows(
     h: int = 3,
 ) -> list[dict]:
     """Wall-clock of IPPV vs the flow-exact LTDS stand-in (plus, when a
-    Spark session is given, the full Spark-pipeline IPPV time).
+    Spark session is given, the time of the Spark entry point ``ippv``).
 
     The speedup column compares the driver-side algorithmic cores — the
     fair analogue of the paper's single-machine C++ comparison; the Spark
-    column shows the distributed pipeline's end-to-end time including
-    enumeration and fixed job overheads.
+    column adds Spark enumeration, the collect and fixed job overheads.
     """
     rows = []
     for name in names or list(DATASETS):

@@ -1,1 +1,1 @@
-"""Graph substrate: canonical edge lists, enumeration, cores, components."""
+"""Graph substrate: canonical edge lists, enumeration, cores, the driver mirror."""

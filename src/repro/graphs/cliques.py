@@ -75,11 +75,6 @@ def clique_instances(edges: DataFrame, h: int) -> DataFrame:
     return stacked
 
 
-def instance_degrees(instances: DataFrame) -> DataFrame:
-    """Per-vertex instance degree ``(v, deg)`` from a long instance table."""
-    return instances.groupBy("v").agg(F.count("*").alias("deg"))
-
-
 def count_instances(instances: DataFrame) -> int:
     """Number of distinct instances in a long instance table."""
     row = instances.agg(F.countDistinct("iid").alias("c")).collect()[0]

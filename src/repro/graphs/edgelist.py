@@ -41,16 +41,6 @@ def degrees(edges: DataFrame) -> DataFrame:
     return ends.groupBy("v").agg(F.count("*").alias("deg"))
 
 
-def induced_edges(edges: DataFrame, keep: DataFrame) -> DataFrame:
-    """Edges of the subgraph induced by vertex set ``keep`` (one column ``v``)."""
-    k = keep.select("v").distinct()
-    return (
-        edges.join(k.withColumnRenamed("v", "src"), "src", "semi")
-        .join(k.withColumnRenamed("v", "dst"), "dst", "semi")
-        .select("src", "dst")
-    )
-
-
 def edges_from_pandas(spark: SparkSession, pdf) -> DataFrame:
     """Create a canonical Spark edge list from a pandas DF with src/dst columns."""
     return canonical_edges(spark.createDataFrame(pdf[["src", "dst"]]))

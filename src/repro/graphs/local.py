@@ -1,10 +1,10 @@
 """Driver-side mirror of a graph + instance hypergraph.
 
-The Spark DataFrame layer does the O(n + |Psi_h|) enumeration and scan
-work; the inherently sequential, small-state parts of IPPV (stable-group
-scans, verification BFS, max-flow) run on a compact driver-side mirror.
-``LocalGraph`` is that mirror: numpy edge array, adjacency sets, and the
-instance list (each instance a sorted tuple of vertex ids).
+The Spark DataFrame layer enumerates instances; every later IPPV stage
+(bounds, Frank-Wolfe, stable groups, pruning, verification, max-flow)
+runs on a compact driver-side mirror. ``LocalGraph`` is that mirror:
+sorted edge list, adjacency sets, and the instance list (each instance a
+sorted tuple of vertex ids).
 """
 from __future__ import annotations
 

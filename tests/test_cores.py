@@ -1,10 +1,8 @@
-"""(k, psi_h)-core decomposition: Spark peeling vs driver heap vs definition."""
+"""(k, psi_h)-core decomposition: heap peeling vs the definition."""
 import pytest
 
 from repro import synth_data as sd
-from repro.graphs import cliques as cq
-from repro.graphs import edgelist as el
-from repro.graphs.cores import instance_core_numbers, instance_core_numbers_local
+from repro.graphs.cores import instance_core_numbers_local
 from repro.graphs.local import local_from_pandas
 
 GRAPHS = {
@@ -47,21 +45,6 @@ def test_local_cores_match_definition(gname, h):
     lg = local_from_pandas(GRAPHS[gname]()).with_cliques(h)
     core = instance_core_numbers_local(lg.vertices, lg.instances)
     _definition_check(lg, core)
-
-
-@pytest.mark.parametrize("gname", sorted(GRAPHS))
-@pytest.mark.parametrize("h", [2, 3])
-def test_spark_cores_match_local(spark, gname, h):
-    pdf = GRAPHS[gname]()
-    lg = local_from_pandas(pdf).with_cliques(h)
-    ref = instance_core_numbers_local(lg.vertices, lg.instances)
-    edges = el.edges_from_pandas(spark, pdf)
-    inst = cq.clique_instances(edges, h)
-    got = {
-        int(r["v"]): int(r["core"])
-        for r in instance_core_numbers(spark, el.vertices(edges), inst).collect()
-    }
-    assert got == ref
 
 
 def test_cores_on_clique():

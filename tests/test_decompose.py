@@ -3,14 +3,8 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
-from repro.core.decompose import (
-    derive_stable_groups,
-    tentative_gd_local,
-    tentative_gd_spark,
-)
-from repro.core.fw import fw_local, fw_spark
-from repro.graphs import cliques as cq
-from repro.graphs import edgelist as el
+from repro.core.decompose import derive_stable_groups, tentative_gd_local
+from repro.core.fw import fw_local
 from repro.graphs.local import local_from_pandas
 
 
@@ -89,15 +83,3 @@ def test_single_piece():
 
 def test_empty_pieces():
     assert derive_stable_groups([], {}) == []
-
-
-def test_spark_tentative_matches_local_semantics(spark):
-    pdf = sd.team_graph_pd(n=50, n_teams=8, team_size=(3, 5), seed=62)
-    lg = local_from_pandas(pdf).with_cliques(3)
-    inst_df = cq.clique_instances(el.edges_from_pandas(spark, pdf), 3)
-    alpha_df, r_df = fw_spark(inst_df, 3, T=4)
-    pieces_s, r_s = tentative_gd_spark(inst_df, alpha_df, r_df)
-    # mass conservation + partition, same invariants as the local variant
-    assert sum(r_s.values()) == pytest.approx(len(lg.instances), abs=1e-6)
-    flat = [v for p in pieces_s for v in p]
-    assert sorted(flat) == sorted({v for t in lg.instances for v in t})

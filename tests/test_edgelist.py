@@ -53,22 +53,6 @@ def test_degrees_vs_duckdb(spark):
     )
 
 
-def test_induced_edges(spark):
-    pdf = sd.er_graph_pd(n=40, m=120, seed=3)
-    edges = el.edges_from_pandas(spark, pdf)
-    keep = spark.createDataFrame(pd.DataFrame({"v": list(range(0, 20))}))
-    got = el.induced_edges(edges, keep)
-    ref = pdf[(pdf.src < 20) & (pdf.dst < 20)]
-    assert sorted(map(tuple, got.collect())) == sorted(map(tuple, ref.to_numpy()))
-
-
-def test_induced_empty_keep(spark):
-    pdf = sd.er_graph_pd(n=20, m=40, seed=4)
-    edges = el.edges_from_pandas(spark, pdf)
-    keep = spark.createDataFrame([], schema="v long")
-    assert el.induced_edges(edges, keep).count() == 0
-
-
 def test_degrees_sum_is_twice_edges(spark):
     pdf = sd.team_graph_pd(n=80, n_teams=15, team_size=(3, 5), seed=5)
     edges = el.edges_from_pandas(spark, pdf)

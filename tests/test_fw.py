@@ -1,25 +1,22 @@
 """Frank-Wolfe (SEQ-kClist++): feasibility invariants and convergence."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core.fw import fw_local, fw_spark
+from repro.core.fw import fw_local
 from repro.flow.networks import compact_numbers_exact
-from repro.graphs import cliques as cq
-from repro.graphs import edgelist as el
 from repro.graphs.local import local_from_pandas
 
 
 @pytest.fixture(scope="module")
 def team():
     pdf = sd.team_graph_pd(n=60, n_teams=10, team_size=(3, 5), seed=51)
-    return local_from_pandas(pdf).with_cliques(3), pdf
+    return local_from_pandas(pdf).with_cliques(3)
 
 
 @pytest.mark.parametrize("T", [1, 5, 10])
 def test_fw_local_feasibility(team, T):
-    lg, _ = team
+    lg = team
     alpha, r = fw_local(lg.instances, T)
     # each instance distributes exactly one unit of weight, nonnegatively
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
@@ -34,7 +31,7 @@ def test_fw_local_feasibility(team, T):
 
 
 def test_fw_local_total_mass(team):
-    lg, _ = team
+    lg = team
     _alpha, r = fw_local(lg.instances, 8)
     assert sum(r.values()) == pytest.approx(len(lg.instances), abs=1e-9)
 
@@ -49,24 +46,6 @@ def test_fw_local_converges_to_compact_numbers():
     phi = compact_numbers_exact(lg.vertices, lg.instances)
     for v in lg.vertices:
         assert r[v] == pytest.approx(float(phi[v]), abs=0.1)
-
-
-def test_fw_spark_matches_invariants(spark, team):
-    _lg, pdf = team
-    inst = cq.clique_instances(el.edges_from_pandas(spark, pdf), 3)
-    alpha, r = fw_spark(inst, 3, T=3)
-    sums = alpha.groupBy("iid").agg(F.sum("alpha").alias("s")).collect()
-    for row in sums:
-        assert row["s"] == pytest.approx(1.0, abs=1e-9)
-    total = r.agg(F.sum("r").alias("s")).collect()[0]["s"]
-    assert total == pytest.approx(inst.select("iid").distinct().count(), abs=1e-6)
-
-
-def test_fw_spark_nonnegative(spark, team):
-    _lg, pdf = team
-    inst = cq.clique_instances(el.edges_from_pandas(spark, pdf), 3)
-    alpha, _r = fw_spark(inst, 3, T=2)
-    assert alpha.filter(F.col("alpha") < -1e-12).count() == 0
 
 
 def test_fw_empty_instances():

@@ -4,7 +4,7 @@ The paper claims IPPV is *exact* (Theorem 7). These tests diff the whole
 pipeline against the brute-force Definition-2 oracle on randomized tiny
 graphs, against the flow-exact reference on medium graphs, and exercise
 the top-k guard, the fast/basic verifier equivalence, and the Spark
-top-level round.
+entry points (enumerate on Spark, then the driver pipeline).
 """
 import random
 from fractions import Fraction
@@ -113,6 +113,34 @@ def test_spark_pipeline_on_tiny_dataset(spark):
     got = _key(ippv(spark, edges, h=3, k=3, T=5))
     ref = _key(ippv_local(load_local("HA-tiny", 3), k=3, T=5))
     assert got == ref
+
+
+def test_relabelled_messy_input_keeps_topk(spark):
+    """Negative sparse ids, reversed endpoints and duplicate edges change
+    only the labels of the top-k, on the Spark and the driver path."""
+    import pandas as pd
+
+    pdf = sd.planted_communities_pd(
+        n=120, m_background=200, blocks=[(10, 1.0), (8, 1.0), (6, 1.0)], seed=73
+    )
+
+    def relabel(v):
+        return -7 * v - 3
+
+    # v -> -7v-3 reverses the order, so every src > dst after relabelling
+    messy = pd.DataFrame({"src": relabel(pdf["src"]), "dst": relabel(pdf["dst"])})
+    dups = messy.head(20).rename(columns={"src": "dst", "dst": "src"})
+    messy = pd.concat([messy, dups], ignore_index=True)
+
+    base = ippv_local(local_from_pandas(pdf).with_cliques(3), k=3)
+    dens = [r.density for r in base]
+    assert len(base) == 3 and dens == sorted(set(dens), reverse=True)  # no ties
+    want = [(frozenset(map(relabel, r.vertices)), r.density) for r in base]
+    for res in (
+        ippv_local(local_from_pandas(messy).with_cliques(3), k=3),
+        ippv(spark, el.edges_from_pandas(spark, messy), h=3, k=3),
+    ):
+        assert [(r.vertices, r.density) for r in res] == want
 
 
 def test_stats_are_populated():

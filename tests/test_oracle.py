@@ -1,64 +1,61 @@
-"""The DuckDB oracle itself + the provided TPC-H-lite scaffolding.
+"""The DuckDB oracle itself, on generator edge lists.
 
-Keeps the shipped OLAP scaffolding exercised and demonstrates the oracle
-catching a wrong result (so graph tests relying on it are trustworthy).
+Shows the oracle accepting correct results and catching a wrong result
+or a column mismatch, so graph tests relying on it are trustworthy.
 """
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
+from repro.graphs import edgelist as el
 from repro.oracle import assert_equivalent
 
 
-def test_oracle_accepts_correct_aggregate(spark):
-    li = sd.lineitem(spark, sf=0.002)
-    got = li.groupBy("l_returnflag").agg(
-        F.count("*").alias("n"), F.round(F.sum("l_quantity"), 3).alias("qty")
+@pytest.fixture(scope="module")
+def edges(spark):
+    return el.edges_from_pandas(spark, sd.er_graph_pd(n=60, m=200, seed=21))
+
+
+def test_oracle_accepts_correct_aggregate(edges):
+    got = edges.groupBy("src").agg(
+        F.count("*").alias("n"), F.round(F.avg("dst"), 3).alias("mean_dst")
     )
     assert_equivalent(
         got,
-        """SELECT l_returnflag, count(*) AS n, round(sum(l_quantity), 3) AS qty
-           FROM li GROUP BY l_returnflag""",
-        li=li,
+        """SELECT src, count(*) AS n, round(avg(dst), 3) AS mean_dst
+           FROM e GROUP BY src""",
+        e=edges,
     )
 
 
-def test_oracle_catches_wrong_result(spark):
-    li = sd.lineitem(spark, sf=0.002)
-    wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("n"))
+def test_oracle_catches_wrong_result(edges):
+    wrong = edges.groupBy("src").agg((F.count("*") + 1).alias("n"))
     with pytest.raises(AssertionError):
         assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-            li=li,
+            wrong, "SELECT src, count(*) AS n FROM e GROUP BY src", e=edges
         )
 
 
-def test_oracle_catches_column_mismatch(spark):
-    li = sd.lineitem(spark, sf=0.002)
-    got = li.groupBy("l_returnflag").agg(F.count("*").alias("wrong_name"))
+def test_oracle_catches_column_mismatch(edges):
+    got = edges.groupBy("src").agg(F.count("*").alias("wrong_name"))
     with pytest.raises(AssertionError, match="column mismatch"):
         assert_equivalent(
-            got,
-            "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-            li=li,
+            got, "SELECT src, count(*) AS n FROM e GROUP BY src", e=edges
         )
 
 
-def test_oracle_join_query(spark):
-    li = sd.lineitem(spark, sf=0.002)
-    o = sd.orders(spark, sf=0.002)
+def test_oracle_join_query(edges):
+    deg = el.degrees(edges)
     got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
+        edges.join(deg, edges.src == deg.v)
+        .groupBy("deg")
         .agg(F.count("*").alias("n"))
     )
     assert_equivalent(
         got,
-        """SELECT o_orderpriority, count(*) AS n
-           FROM li JOIN o ON l_orderkey = o_orderkey
-           GROUP BY o_orderpriority""",
-        li=li,
-        o=o,
+        """SELECT d.deg, count(*) AS n
+           FROM e JOIN d ON e.src = d.v
+           GROUP BY d.deg""",
+        e=edges,
+        d=deg,
     )

@@ -6,9 +6,8 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.bruteforce import brute_compact_numbers, brute_lhcds
-from repro.core.prune import prune_local, prune_spark
+from repro.core.prune import prune_local
 from repro.flow.networks import compact_numbers_exact
-from repro.graphs import edgelist as el
 from repro.graphs.local import LocalGraph, local_from_pandas
 
 
@@ -80,16 +79,3 @@ def test_prune_cond2_cascade():
     ub, lb = _tight_bounds(lg)
     alive = prune_local(lg, set(lg.vertices), ub, lb)
     assert alive == {0, 1, 2, 3, 4}
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_prune_spark_matches_local(spark, seed):
-    lg = _random_graph(seed, lo=8, hi=12).with_cliques(3)
-    import pandas as pd
-
-    pdf = pd.DataFrame(lg.edges, columns=["src", "dst"])
-    edges = el.edges_from_pandas(spark, pdf)
-    ub, lb = _tight_bounds(lg, slack=0.2)
-    got = prune_spark(spark, edges, lg, ub, lb)
-    ref = prune_local(lg, set(lg.vertices), ub, lb)
-    assert got == ref

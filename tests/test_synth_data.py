@@ -93,16 +93,3 @@ def test_polbooks_like_shape():
     assert len(labels) == 105
     assert set(labels) == {"liberal", "conservative", "neutral"}
     assert _canonical(edges)
-
-
-def test_zipf_vs_uniform_keys(spark):
-    z = sd.zipf_keys(spark, n=2000, n_keys=100).toPandas()
-    u = sd.uniform_keys(spark, n=2000, n_keys=100).toPandas()
-    assert z["k"].value_counts().iloc[0] > u["k"].value_counts().iloc[0]
-
-
-def test_tpch_lite_generators(spark):
-    li = sd.lineitem(spark, sf=0.001)
-    o = sd.orders(spark, sf=0.001)
-    assert li.count() > 0 and o.count() > 0
-    assert "l_orderkey" in li.columns and "o_orderkey" in o.columns

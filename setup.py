@@ -1,9 +1,9 @@
 """Thin setup.py shim.
 
-The container has no network and no ``wheel`` package, so PEP-517 editable
-installs (which build a wheel) fail. With this shim, ``pip install -e .
---no-build-isolation`` falls back to the legacy ``setup.py develop`` path,
-which needs only setuptools. All metadata lives in pyproject.toml.
+Without the ``wheel`` package, pip (23.1+) cannot build an editable install,
+but ``python setup.py develop`` can: it needs only setuptools, and offline
+it resolves the declared dependencies from the installed packages. All
+metadata lives in pyproject.toml.
 """
 from setuptools import setup
 

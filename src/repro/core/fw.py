@@ -1,50 +1,42 @@
-"""Frank-Wolfe / SEQ-kClist++ approximation of CP(G, h) (Algorithm 2).
+"""Batch Frank-Wolfe approximation of CP(G, h) (Algorithm 2's propose step).
 
 CP(G, h) asks every instance (h-clique or pattern occurrence) to split
 its unit weight over its members so that the received totals ``r`` are as
 even as possible; the optimal ``r*`` equals the h-clique compact numbers
-(Theorem 2). ``fw_local`` is the paper's sequential SEQ-kClist++ with
-in-pass r updates. Any iterate is a *feasible* CP solution, which is all
-Theorem 4 needs, so exactness of the pipeline never depends on
-convergence quality.
+(Theorem 2). ``fw_local`` is the batch Frank-Wolfe of Danisch, Chan and
+Sozio (WWW 2017), not the paper's sequential SEQ-kClist++: every pass
+reads ``r`` from the previous iterate, sends each instance's step weight
+to its member of least ``r`` (one ``argmin`` over the instance matrix),
+and mixes with step size ``1/(t+1)`` (one ``bincount``). Any iterate is a
+*feasible* CP solution, which is all Theorem 4 needs, so exactness of the
+pipeline never depends on convergence quality (DESIGN.md section 3).
 """
 from __future__ import annotations
 
 import numpy as np
 
-Instance = tuple[int, ...]
 
+def fw_local(inst: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """T passes of batch Frank-Wolfe over an instance matrix.
 
-def fw_local(
-    instances: list[Instance], T: int
-) -> tuple[np.ndarray, dict[int, float]]:
-    """The sequential SEQ-kClist++ of Algorithm 2 (lines 5-13).
-
-    Returns ``(alpha, r)`` with ``alpha[i, j]`` the weight instance i
-    assigns to its j-th member (members in tuple order).
+    ``inst`` is an ``(instances, p)`` matrix of vertex indices, each row
+    ascending. Returns ``(alpha, r)``: ``alpha[i, j]`` is the weight
+    instance i assigns to its j-th member and ``r[v]`` the total vertex v
+    receives (``len(r) = inst.max() + 1``; a vertex in no instance gets 0).
+    A tie for least ``r`` goes to the first member, the smallest index.
     """
-    if not instances:
-        return np.zeros((0, 0)), {}
-    p = len(instances[0])
-    alpha = np.full((len(instances), p), 1.0 / p)
-    r: dict[int, float] = {}
-    for inst in instances:
-        for v in inst:
-            r[v] = r.get(v, 0.0) + 1.0 / p
+    inst = np.asarray(inst)
+    m, p = inst.shape
+    if not m:
+        return np.zeros((0, p)), np.zeros(0)
+    n = int(inst.max()) + 1
+    alpha = np.full((m, p), 1.0 / p)
+    r = np.bincount(inst.ravel(), minlength=n) / p
+    rows = np.arange(m)
     for t in range(1, T + 1):
         gamma = 1.0 / (t + 1)
-        scale = 1.0 - gamma
-        alpha *= scale
-        for v in r:
-            r[v] *= scale
-        for i, inst in enumerate(instances):
-            jmin = 0
-            vmin = inst[0]
-            best = r[vmin]
-            for j in range(1, p):
-                rv = r[inst[j]]
-                if rv < best or (rv == best and inst[j] < vmin):
-                    best, jmin, vmin = rv, j, inst[j]
-            alpha[i, jmin] += gamma
-            r[vmin] += gamma
+        j = np.argmin(r[inst], axis=1)
+        alpha *= 1.0 - gamma
+        alpha[rows, j] += gamma
+        r = (1.0 - gamma) * r + gamma * np.bincount(inst[rows, j], minlength=n)
     return alpha, r

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from ..flow.networks import densest_sub, is_densest
@@ -58,15 +59,20 @@ def check_k(k: int | None) -> None:
 
 def _core_loop(
     lg: LocalGraph,
-    ub: dict[int, float],
-    lb: dict[int, float],
+    ub: np.ndarray,
+    lb: np.ndarray,
     k: int | None,
     T: int,
     fast_verify: bool,
     st: dict,
 ) -> list[LhCDS]:
-    """The Algorithm-6 stack loop over a prepared LocalGraph + bounds."""
+    """The Algorithm-6 stack loop over a prepared LocalGraph + bounds.
+
+    ``ub`` and ``lb`` are float arrays indexed by vertex position; the
+    candidates on the stack are sets of vertex ids.
+    """
     p = lg.p
+    ids = lg.vertices
     results: list[LhCDS] = []
     out_exact: dict[int, Fraction] = {}  # output vertex -> exact phi (Thm 1)
     # reduced DeriveCompact problem -> its min-cut side; M is a pure
@@ -76,8 +82,9 @@ def _core_loop(
     st.setdefault("t_prune", 0.0)
     st.setdefault("t_verify", 0.0)
 
-    def propose_sub(work: set[int], cap: float) -> list[tuple[set[int], float]]:
-        """ProposeCL + Prune over ``work`` (the whole graph, then candidates).
+    def propose_sub(work: np.ndarray, cap: float) -> list[tuple[set[int], float]]:
+        """ProposeCL + Prune over the positions ``work`` (the whole graph,
+        then candidates).
 
         ``cap`` is the parent candidate's density cap; any LhCDS D inside a
         sub-stable-group has density d(D) = phi^{G[work]}(D) <= the group's
@@ -86,26 +93,30 @@ def _core_loop(
         bounds are not globally valid.
         """
         tp = time.perf_counter()
-        insts = lg.instances_within(work)
-        if not insts:
+        inside = np.zeros(lg.n, dtype=bool)
+        inside[work] = True
+        verts, inst = lg.sub_instances(lg.rows_within(inside))
+        if not len(verts):
             return []
-        alpha, r0 = fw_local(insts, T)
-        pieces, r = tentative_gd_local(insts, alpha, r0)
-        groups = derive_stable_groups(pieces, r)
+        alpha, r0 = fw_local(inst, T)
+        pieces, r = tentative_gd_local(inst, alpha, r0)
+        groups = [(verts[m], gmin, gmax) for m, gmin, gmax in derive_stable_groups(pieces, r)]
         for members, gmin, _gmax in groups:
-            for v in members:
-                lb[v] = max(lb[v], gmin - TOL)  # lower bounds stay global
+            lb[members] = np.maximum(lb[members], gmin - TOL)  # lower bounds stay global
         st["t_propose"] += time.perf_counter() - tp
         tp = time.perf_counter()
-        alive = prune_local(lg, work, ub, lb)
+        alive = np.zeros(lg.n, dtype=bool)
+        alive[prune_local(lg, work, ub, lb)] = True
         st["t_prune"] += time.perf_counter() - tp
-        return [
-            (set(m) & alive, min(cap, gmax + TOL))
-            for m, _gmin, gmax in groups
-            if set(m) & alive
-        ]
+        out = []
+        for members, _gmin, gmax in groups:
+            kept = members[alive[members]].tolist()
+            if kept:
+                out.append(({ids[x] for x in kept}, min(cap, gmax + TOL)))
+        return out
 
-    first = propose_sub(set(lg.vertices), float("inf"))
+    first = propose_sub(np.arange(lg.n), float("inf"))
+
     stack: list[tuple[set[int], float]] = list(reversed(first))
 
     while stack:
@@ -139,12 +150,11 @@ def _core_loop(
             st["t_verify"] += time.perf_counter() - tv
             if ok:
                 results.append(LhCDS(frozenset(S), d))
-                df = float(d)
-                for v in S:
-                    # Theorem 1 pins these vertices' compact numbers exactly
-                    out_exact[v] = d
-                    ub[v] = min(ub[v], df + TOL)
-                    lb[v] = max(lb[v], df - TOL)
+                # Theorem 1 pins these vertices' compact numbers exactly
+                out_exact.update(dict.fromkeys(S, d))
+                at = lg.positions(S)
+                ub[at] = np.minimum(ub[at], float(d) + TOL)
+                lb[at] = np.maximum(lb[at], float(d) - TOL)
             else:
                 # Discard, provably exact (invariant 2): S is connected and
                 # self-densest, hence d(S)-compact; any LhCDS D inside S would
@@ -153,7 +163,7 @@ def _core_loop(
                 # contradicting D's maximality. So S contains no LhCDS.
                 st["discarded"] = st.get("discarded", 0) + 1
         else:
-            subcands = propose_sub(S, cap)
+            subcands = propose_sub(lg.positions(S), cap)
             if len(subcands) == 1 and subcands[0][0] == S:
                 # Rough FW solution failed to split a non-self-densest
                 # candidate; split off the exact maximal densest subgraph D of
@@ -186,9 +196,9 @@ def ippv_local(
     check_k(k)
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
-    cores = instance_core_numbers_local(lg.vertices, lg.instances)
-    ub = {v: float(cores.get(v, 0)) for v in lg.vertices}
-    lb = {v: cores.get(v, 0) / lg.p for v in lg.vertices}
+    cores = instance_core_numbers_local(lg.n, lg.inst)
+    ub = cores.astype(np.float64)
+    lb = cores / lg.p
     st["t_bounds"] = time.perf_counter() - t0
     return _core_loop(lg, ub, lb, k, T, fast_verify, st)
 
@@ -214,9 +224,7 @@ def ippv_instances(
     edges_pdf = edges.toPandas()
     inst_list = instances_to_local(instances)
     lg = LocalGraph(
-        edges=list(zip(edges_pdf["src"].astype(int), edges_pdf["dst"].astype(int))),
-        instances=inst_list,
-        p=p,
+        edges=edges_pdf[["src", "dst"]].to_numpy(dtype=np.int64), instances=inst_list, p=p
     )
     st["n"], st["m"], st["instances"] = lg.n, lg.m, len(inst_list)
     st["t_mirror"] = time.perf_counter() - t0

@@ -36,6 +36,8 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from ..flow.networks import derive_compact
 from ..graphs.local import LocalGraph
 
@@ -65,11 +67,14 @@ def verify_basic(lg: LocalGraph, S: set[int], stats: dict | None = None) -> bool
 def reduce_candidate(
     lg: LocalGraph,
     S: set[int],
-    ub: dict[int, float],
-    lb: dict[int, float],
+    ub: np.ndarray,
+    lb: np.ndarray,
     out_exact: dict[int, Fraction],
 ):
     """Algorithm 5's BFS reduction, separated from solving.
+
+    ``ub`` and ``lb`` are the bound arrays indexed by vertex position
+    (``lg.pos``); ``S`` and the returned region are vertex ids.
 
     Returns ``("decided", bool)`` when the BFS settles the verdict without
     any flow, or ``("flow", T, inner, boundary, rho_eff)`` — the
@@ -79,12 +84,15 @@ def reduce_candidate(
     h = lg.p
     rho = candidate_density(lg, S)
     rhof = float(rho)
+    pos = lg.pos
+    ubl, lbl = ub.tolist(), lb.tolist()
+    lo, hi = rhof - TOL, rhof + TOL  # rho with the tolerance either way
 
     # Theorem 1: every vertex of an LhCDS has phi == d(G[S]); a member whose
     # bounds exclude rho disproves S outright (and guarantees below that all
     # T members satisfy lb <= rho <= ub, keeping P consistent).
     for s in S:
-        if lb.get(s, 0.0) > rhof + TOL or ub.get(s, 0.0) < rhof - TOL:
+        if lbl[pos[s]] > hi or ubl[pos[s]] < lo:
             return ("decided", False)
 
     # Direct-neighbor rejection, exact: if w adjacent to S has phi >= rho
@@ -97,7 +105,7 @@ def reduce_candidate(
                 continue
             if w in out_exact and out_exact[w] >= rho:
                 return ("decided", False)
-            if lb.get(w, 0.0) > rhof + TOL:
+            if lbl[pos[w]] > hi:
                 return ("decided", False)
 
     T: set[int] = set(S)
@@ -112,11 +120,11 @@ def reduce_candidate(
                 continue
             W.add(i)
             inst = lg.instances[i]
-            if any(ub.get(w, 0.0) < rhof - TOL for w in inst):
+            if any(ubl[pos[w]] < lo for w in inst):
                 continue  # instance cannot lie inside any rho-compact subgraph
             cnt = 0
             for w in inst:
-                if lb.get(w, 0.0) <= rhof + TOL:
+                if lbl[pos[w]] <= hi:
                     cnt += 1
                     if w not in T:
                         T.add(w)
@@ -132,7 +140,7 @@ def reduce_candidate(
             # neighbors with lb > rho carry no instances into T beyond those
             # already recorded in P (plain edges add no h-cliques), so they
             # cannot change S's component; skip them
-            if lb.get(w, 0.0) <= rhof + TOL and ub.get(w, 0.0) > rhof - TOL:
+            if lbl[pos[w]] <= hi and ubl[pos[w]] > lo:
                 T.add(w)
                 U.append(w)
 
@@ -154,8 +162,8 @@ def reduce_candidate(
 def verify_fast(
     lg: LocalGraph,
     S: set[int],
-    ub: dict[int, float],
-    lb: dict[int, float],
+    ub: np.ndarray,
+    lb: np.ndarray,
     out_exact: dict[int, Fraction],
     stats: dict | None = None,
     memo: dict | None = None,

@@ -3,43 +3,43 @@
 The paper's Definition 5 / Algorithm 1 (InitializeBd) rest on the
 h-clique-core number ``core_G(u, psi_h)``: the largest k such that u
 belongs to a subgraph where every vertex is contained in >= k instances.
-``instance_core_numbers_local`` computes it with the standard k-core
-peeling generalized to hyperedges: a min-heap on instance degree, where
-removing a vertex drops every instance it touches.
+``instance_core_numbers_local`` computes it by level-batched peeling:
+at level k every alive vertex of instance degree <= k is removed at once,
+the instances it touches die and their surviving members lose one degree
+each (through the vertex -> instance CSR), and the removal repeats until
+every alive vertex has degree > k. Each vertex removed at level k has core
+number exactly k; the next level is the minimum degree left.
 """
 from __future__ import annotations
 
-import heapq
+import numpy as np
+
+from .local import csr_gather, incidence
 
 
-def instance_core_numbers_local(
-    vertices: list[int], instances: list[tuple[int, ...]]
-) -> dict[int, int]:
-    """Exact core number per vertex (vertices with no instances get 0)."""
-    inc: dict[int, list[int]] = {v: [] for v in vertices}
-    for i, inst in enumerate(instances):
-        for v in inst:
-            inc[v].append(i)
-    deg = {v: len(inc[v]) for v in vertices}
-    dead_inst = [False] * len(instances)
-    removed: set[int] = set()
-    heap = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    core: dict[int, int] = {}
-    k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != deg[v]:
-            continue
-        removed.add(v)
-        k = max(k, d)
-        core[v] = k
-        for i in inc[v]:
-            if dead_inst[i]:
-                continue
-            dead_inst[i] = True
-            for w in instances[i]:
-                if w not in removed:
-                    deg[w] -= 1
-                    heapq.heappush(heap, (deg[w], w))
+def instance_core_numbers_local(n: int, inst: np.ndarray) -> np.ndarray:
+    """Exact core number of vertices 0..n-1 (0 for vertices in no instance).
+
+    ``inst`` is an ``(instances, p)`` matrix of vertex indices in [0, n).
+    """
+    inst = np.asarray(inst)
+    core = np.zeros(n, dtype=np.int64)
+    if not inst.size:
+        return core
+    ptr, rows_of = incidence(inst, n)
+    deg = np.diff(ptr)
+    alive = np.ones(n, dtype=bool)
+    dead = np.zeros(len(inst), dtype=bool)
+    while alive.any():
+        k = int(deg[alive].min())  # above every earlier level: those cascades finished
+        front = np.flatnonzero(alive & (deg <= k))
+        while len(front):
+            core[front] = k
+            alive[front] = False
+            rows = np.unique(csr_gather(ptr, rows_of, front))
+            rows = rows[~dead[rows]]
+            dead[rows] = True
+            touched, drop = np.unique(inst[rows], return_counts=True)
+            deg[touched] -= drop
+            front = touched[alive[touched] & (deg[touched] <= k)]
     return core

@@ -23,7 +23,10 @@ def test_cliques_vs_driver_reference(spark, gname, h):
     pdf = GRAPHS[gname]()
     lg = local_from_pandas(pdf)
     got = cq.instances_to_local(cq.clique_instances(el.edges_from_pandas(spark, pdf), h))
-    ref = [tuple(e) for e in lg.edges] if h == 2 else lg.enumerate_cliques(h)
+    if h == 2:
+        ref = [tuple(e) for e in lg.edges]
+    else:
+        ref = list(map(tuple, lg.enumerate_cliques(h).tolist()))
     assert sorted(got) == sorted(ref)
 
 

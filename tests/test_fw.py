@@ -1,4 +1,4 @@
-"""Frank-Wolfe (SEQ-kClist++): feasibility invariants and convergence."""
+"""Batch Frank-Wolfe: feasibility invariants, the pass rule and convergence."""
 import numpy as np
 import pytest
 
@@ -17,23 +17,23 @@ def team():
 @pytest.mark.parametrize("T", [1, 5, 10])
 def test_fw_local_feasibility(team, T):
     lg = team
-    alpha, r = fw_local(lg.instances, T)
+    alpha, r = fw_local(lg.inst, T)
     # each instance distributes exactly one unit of weight, nonnegatively
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
     assert (alpha >= -1e-15).all()
     # r equals the received sums
-    ref = {v: 0.0 for v in r}
-    for i, inst in enumerate(lg.instances):
+    ref = [0.0] * len(r)
+    for i, inst in enumerate(lg.inst.tolist()):
         for j, v in enumerate(inst):
             ref[v] += alpha[i, j]
-    for v in r:
+    for v in range(len(r)):
         assert r[v] == pytest.approx(ref[v], abs=1e-9)
 
 
 def test_fw_local_total_mass(team):
     lg = team
-    _alpha, r = fw_local(lg.instances, 8)
-    assert sum(r.values()) == pytest.approx(len(lg.instances), abs=1e-9)
+    _alpha, r = fw_local(lg.inst, 8)
+    assert r.sum() == pytest.approx(len(lg.instances), abs=1e-9)
 
 
 def test_fw_local_converges_to_compact_numbers():
@@ -42,12 +42,28 @@ def test_fw_local_converges_to_compact_numbers():
 
     pdf = pd.concat([sd.clique_pd([0, 1, 2, 3, 4]), sd.clique_pd([10, 11, 12])])
     lg = local_from_pandas(pdf).with_cliques(2)
-    _alpha, r = fw_local(lg.instances, 200)
+    _alpha, r = fw_local(lg.inst, 200)
     phi = compact_numbers_exact(lg.vertices, lg.instances)
     for v in lg.vertices:
-        assert r[v] == pytest.approx(float(phi[v]), abs=0.1)
+        assert r[lg.pos[v]] == pytest.approx(float(phi[v]), abs=0.1)
 
 
 def test_fw_empty_instances():
-    alpha, r = fw_local([], 5)
-    assert alpha.size == 0 and r == {}
+    alpha, r = fw_local(np.zeros((0, 3), dtype=np.int32), 5)
+    assert alpha.size == 0 and r.size == 0
+
+
+def test_fw_two_passes_by_hand():
+    """Each pass reads r from the previous iterate, gives step gamma =
+    1/(t+1) to each row's least-r member (ties: the smaller index) and
+    scales the rest by 1 - gamma."""
+    inst = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
+    # start: r = deg/2 = [1, 1, 1.5, 0.5]
+    # t=1, gamma=1/2: picks 0 (tie 0/1), 0, 1, 3
+    alpha, r = fw_local(inst, 1)
+    np.testing.assert_allclose(alpha, [[0.75, 0.25], [0.75, 0.25], [0.75, 0.25], [0.25, 0.75]])
+    np.testing.assert_allclose(r, [1.5, 1.0, 0.75, 0.75])
+    # t=2, gamma=1/3: picks 1, 2, 2, 2 (tie 2/3)
+    alpha, r = fw_local(inst, 2)
+    np.testing.assert_allclose(alpha, np.full((4, 2), 0.5))
+    np.testing.assert_allclose(r, [1.0, 1.0, 1.5, 0.5])

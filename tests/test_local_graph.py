@@ -1,6 +1,9 @@
 """LocalGraph: the driver-side mirror's own invariants."""
+import random
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 import pytest
 
@@ -25,7 +28,57 @@ def test_enumerate_cliques_vs_bruteforce(lg):
             for c in combinations(lg.vertices, h)
             if all(lg.has_edge(a, b) for a, b in combinations(c, 2))
         }
-        assert set(lg.enumerate_cliques(h)) == ref
+        assert set(map(tuple, lg.enumerate_cliques(h).tolist())) == ref
+
+
+def _messy_graph(rng):
+    """Sparse, partly negative ids; duplicate, reversed and self-loop
+    edges; n_hint isolated vertices 0..n_hint-1 (some also in edges)."""
+    ids = rng.sample(range(-40, 400, 3), rng.randint(2, 14))
+    edges = [
+        (a, b) if rng.random() < 0.5 else (b, a)
+        for a, b in combinations(ids, 2)
+        if rng.random() < rng.choice([0.3, 0.6, 0.9])
+    ]
+    edges += [rng.choice(edges) for _ in range(len(edges) // 3)] if edges else []
+    edges += [(v, v) for v in rng.sample(ids, 2)]
+    rng.shuffle(edges)
+    return LocalGraph(n_hint=rng.randint(0, 5), edges=edges)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_enumerate_cliques_vs_combinations(h, chunk, monkeypatch):
+    if chunk:  # expand a few candidates per batch, so every level splits
+        monkeypatch.setattr("repro.graphs.local._CHUNK", chunk)
+    rng = random.Random(h)
+    for _ in range(30):
+        g = _messy_graph(rng)
+        ref = sorted(
+            c for c in combinations(g.vertices, h)
+            if all(g.has_edge(a, b) for a, b in combinations(c, 2))
+        )
+        got = g.enumerate_cliques(h)
+        assert got.shape == (len(ref), h)
+        assert sorted(map(tuple, got.tolist())) == ref
+        attached = g.with_cliques(h)
+        assert sorted(attached.instances) == ref
+        assert attached.edges is g.edges and attached.adj is g.adj
+
+
+def test_instance_arrays_match_tuple_views(lg):
+    g = lg.with_cliques(3)
+    assert g.inst.dtype == np.int32
+    assert [tuple(g.ids[row].tolist()) for row in g.inst] == g.instances
+    for v in g.vertices:
+        at = g.pos[v]
+        assert g.inc_idx[g.inc_ptr[at] : g.inc_ptr[at + 1]].tolist() == g.inc[v]
+    assert list(zip(g.ids[g.eu].tolist(), g.ids[g.ev].tolist())) == g.edges
+
+
+def test_rejects_instance_outside_graph():
+    with pytest.raises(ValueError):
+        LocalGraph(edges=[(0, 1), (1, 2)], instances=[(0, 1, 7)], p=3)
 
 
 def test_instance_count_and_density(lg):

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro import synth_data as sd
@@ -23,9 +24,15 @@ def _random_graph(seed, lo=6, hi=9):
 
 def _tight_bounds(lg, slack=0.0):
     phi = compact_numbers_exact(lg.vertices, lg.instances)
-    ub = {v: float(phi[v]) + slack for v in lg.vertices}
-    lb = {v: max(0.0, float(phi[v]) - slack) for v in lg.vertices}
+    ub = np.array([float(phi[v]) + slack for v in lg.vertices])
+    lb = np.array([max(0.0, float(phi[v]) - slack) for v in lg.vertices])
     return ub, lb
+
+
+def _prune_all(lg, ub, lb):
+    """prune_local over the whole graph, survivors as vertex ids."""
+    kept = prune_local(lg, np.arange(lg.n), ub, lb)
+    return set(lg.ids[kept].tolist())
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -33,7 +40,7 @@ def _tight_bounds(lg, slack=0.0):
 def test_prune_never_removes_lhcds_vertices(seed, h):
     lg = _random_graph(seed).with_cliques(h)
     ub, lb = _tight_bounds(lg)
-    alive = prune_local(lg, set(lg.vertices), ub, lb)
+    alive = _prune_all(lg, ub, lb)
     for S, d in brute_lhcds(lg):
         if d > 0:
             assert S <= alive
@@ -42,9 +49,9 @@ def test_prune_never_removes_lhcds_vertices(seed, h):
 @pytest.mark.parametrize("seed", range(6))
 def test_prune_with_loose_bounds_is_noop_safe(seed):
     lg = _random_graph(seed).with_cliques(3)
-    cores_ub = {v: float(len(lg.inc[v])) for v in lg.vertices}
-    lb = {v: 0.0 for v in lg.vertices}
-    alive = prune_local(lg, set(lg.vertices), cores_ub, lb)
+    cores_ub = np.array([float(len(lg.inc[v])) for v in lg.vertices])
+    lb = np.zeros(lg.n)
+    alive = _prune_all(lg, cores_ub, lb)
     assert alive == set(lg.vertices)  # zero lower bounds prune nothing
 
 
@@ -60,7 +67,7 @@ def test_prune_cond1_removes_low_neighbors():
     )
     lg = local_from_pandas(pdf).with_cliques(3)
     ub, lb = _tight_bounds(lg)
-    alive = prune_local(lg, set(lg.vertices), ub, lb)
+    alive = _prune_all(lg, ub, lb)
     assert {0, 1, 2, 3, 4} <= alive
     assert 5 not in alive
 
@@ -77,5 +84,5 @@ def test_prune_cond2_cascade():
     )
     lg = local_from_pandas(pdf).with_cliques(3)
     ub, lb = _tight_bounds(lg)
-    alive = prune_local(lg, set(lg.vertices), ub, lb)
+    alive = _prune_all(lg, ub, lb)
     assert alive == {0, 1, 2, 3, 4}

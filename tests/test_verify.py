@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.bruteforce import _Masks, brute_lhcds
@@ -23,19 +24,16 @@ def _random_graph(seed):
 def _exact_bounds(lg):
     phi = compact_numbers_exact(lg.vertices, lg.instances)
     return (
-        {v: float(phi[v]) + 1e-9 for v in lg.vertices},
-        {v: max(0.0, float(phi[v]) - 1e-9) for v in lg.vertices},
+        np.array([float(phi[v]) + 1e-9 for v in lg.vertices]),
+        np.array([max(0.0, float(phi[v]) - 1e-9) for v in lg.vertices]),
     )
 
 
 def _core_bounds(lg):
     from repro.graphs.cores import instance_core_numbers_local
 
-    cores = instance_core_numbers_local(lg.vertices, lg.instances)
-    return (
-        {v: float(cores.get(v, 0)) for v in lg.vertices},
-        {v: cores.get(v, 0) / lg.p for v in lg.vertices},
-    )
+    cores = instance_core_numbers_local(lg.n, lg.inst)
+    return cores.astype(float), cores / lg.p
 
 
 def _candidates(lg, rng, limit=8):
@@ -101,8 +99,8 @@ def test_fast_agrees_with_basic_under_out_info(seed):
         assert verify_fast(lg, set(S), ub, lb, out_exact)
         for v in S:
             out_exact[v] = d
-            ub[v] = min(ub[v], float(d) + 1e-9)
-            lb[v] = max(lb[v], float(d) - 1e-9)
+            ub[lg.pos[v]] = min(ub[lg.pos[v]], float(d) + 1e-9)
+            lb[lg.pos[v]] = max(lb[lg.pos[v]], float(d) - 1e-9)
 
 
 def test_candidate_density():

@@ -32,11 +32,15 @@ def fw_local(inst: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     n = int(inst.max()) + 1
     alpha = np.full((m, p), 1.0 / p)
     r = np.bincount(inst.ravel(), minlength=n) / p
-    rows = np.arange(m)
+    # indices in the platform integer type (an int32 index array would be
+    # converted on every pass); ``at`` holds each instance's flat position
+    # of its chosen member in ``alpha`` and ``flat``
+    idx = inst.astype(np.intp)
+    flat, slot = idx.ravel(), np.arange(0, m * p, p)
     for t in range(1, T + 1):
         gamma = 1.0 / (t + 1)
-        j = np.argmin(r[inst], axis=1)
+        at = slot + np.argmin(r[idx], axis=1)
         alpha *= 1.0 - gamma
-        alpha[rows, j] += gamma
-        r = (1.0 - gamma) * r + gamma * np.bincount(inst[rows, j], minlength=n)
+        alpha.ravel()[at] += gamma
+        r = (1.0 - gamma) * r + gamma * np.bincount(flat[at], minlength=n)
     return alpha, r

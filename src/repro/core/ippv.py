@@ -5,21 +5,29 @@ and ``ippv_instances`` takes any instance table (the section-5 LhxPDS
 extension). Both collect edges and instances once into a driver-side
 LocalGraph and hand it to ``ippv_local``, which runs every later stage
 there: core-number bounds (InitializeBd), Frank-Wolfe, TentativeGD,
-DeriveSG, pruning and exact max-flow verification. The loop keeps three
-invariants that make the output provably the exact top-k (see DESIGN.md
-section 3):
+DeriveSG, pruning and exact max-flow verification. Candidates wait in a
+max-heap keyed by a density cap, so the densest-looking one is examined
+first. The loop keeps three invariants that make the output provably the
+exact top-k (see DESIGN.md section 3):
 
-1. every LhCDS of G is fully contained in exactly one stacked candidate
+1. every LhCDS of G is fully contained in exactly one queued candidate
    (stable groups cannot split a uniform-phi set; refinement by exact
    decomposition, components, or sub-proposal preserves containment);
 2. a candidate is discarded only on proof that it contains no LhCDS
    (self-densest + connected + single decomposition block + failed
    maximal-compactness verification);
-3. the loop stops early only when every remaining candidate's compact
-   number upper bound is strictly below the current k-th best density.
+3. every queued candidate's cap bounds the density of each LhCDS inside
+   it (Theorem 4 on a CP solution over the candidate or an ancestor, or
+   the exact density of a split's top block), and the loop stops early
+   only when the largest cap is strictly below the current k-th best
+   density. Caps carry a +TOL slack, so every LhCDS tied with the k-th
+   has been found by then and the returned top-k is the canonical one
+   (first k by density, then sorted vertices), with no condition on n.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,10 +74,10 @@ def _core_loop(
     fast_verify: bool,
     st: dict,
 ) -> list[LhCDS]:
-    """The Algorithm-6 stack loop over a prepared LocalGraph + bounds.
+    """The Algorithm-6 loop over a prepared LocalGraph + bounds.
 
     ``ub`` and ``lb`` are float arrays indexed by vertex position; the
-    candidates on the stack are sets of vertex ids.
+    queued candidates are sets of vertex ids.
     """
     p = lg.p
     ids = lg.vertices
@@ -117,27 +125,41 @@ def _core_loop(
 
     first = propose_sub(np.arange(lg.n), float("inf"))
 
-    stack: list[tuple[set[int], float]] = list(reversed(first))
+    # max-heap of candidates keyed by cap: (-cap, seq, tight, S). A tight
+    # candidate is connected and capped by a CP solution on G[S] itself or
+    # by an exact split; an inherited cap is tightened before S is examined.
+    heap: list[tuple[float, int, bool, set[int]]] = []
+    seq = itertools.count()
 
-    while stack:
-        if k is not None and len(results) >= k:
-            # Exact stop: caps carry +TOL slack and densities are rationals
-            # with denominator <= n, so cap <= kth + TOL forces density <=
-            # kth (a strictly denser LhCDS would exceed kth by >= 1/n^2 >>
-            # TOL). Remaining ties cannot displace a valid top-k.
-            kth = sorted((r.density for r in results), reverse=True)[k - 1]
-            if all(cap <= float(kth) + TOL for _, cap in stack):
-                break
-        S, cap = stack.pop()
-        if not S:
-            continue
-        comps = lg.components(S)
-        if len(comps) > 1:
-            stack.extend((c, cap) for c in reversed(comps))
+    def push(S: set[int], cap: float, tight: bool) -> None:
+        heapq.heappush(heap, (-cap, next(seq), tight, S))
+
+    for S, cap in first:
+        push(S, cap, False)
+    top: list[Fraction] = []  # min-heap of the k best verified densities
+
+    while heap:
+        # Strict stop (invariant 3): caps carry +TOL slack, so once the top
+        # cap is below the k-th density every LhCDS left in the heap is
+        # strictly below it, and every tie with the k-th has been found.
+        if k is not None and len(top) == k and -heap[0][0] < float(top[0]):
+            break
+        negcap, _, tight, S = heapq.heappop(heap)
+        cap = -negcap
+        if not tight:
+            comps = lg.components(S)
+            if len(comps) > 1:
+                for c in comps:
+                    push(c, cap, False)
+                continue
+            # Theorem 4 on CP(G[S]): any feasible r gives d(D) <= max r for
+            # every D inside S, so max r caps every LhCDS inside S
+            rows = lg.rows_within(lg.mask(S))
+            if len(rows):
+                _alpha, r = fw_local(lg.sub_instances(rows)[1], T)
+                push(S, min(cap, float(r.max()) + TOL), True)
             continue
         d = candidate_density(lg, S)
-        if d == 0:
-            continue
         tv = time.perf_counter()
         dense_ok = is_densest(sorted(S), lg.instances_within(S), p)
         st["t_verify"] += time.perf_counter() - tv
@@ -150,6 +172,10 @@ def _core_loop(
             st["t_verify"] += time.perf_counter() - tv
             if ok:
                 results.append(LhCDS(frozenset(S), d))
+                if k is not None:
+                    heapq.heappush(top, d)
+                    if len(top) > k:
+                        heapq.heappop(top)
                 # Theorem 1 pins these vertices' compact numbers exactly
                 out_exact.update(dict.fromkeys(S, d))
                 at = lg.positions(S)
@@ -170,16 +196,19 @@ def _core_loop(
                 # G[S] instead (one Dinkelbach run). D is the top block of the
                 # exact decomposition, so every LhCDS inside S lies entirely
                 # in D or entirely in S \ D, and both have density <= d(D).
+                # Nothing in G[S] is denser than D, so D's components are tight.
                 st["exact_splits"] = st.get("exact_splits", 0) + 1
                 hyper = {inst: 1 for inst in lg.instances_within(S)}
                 D, dD = densest_sub(S, hyper)
                 newcap = min(cap, float(dD) + TOL)
                 rest = S - D
                 if rest:
-                    stack.append((rest, newcap))
-                stack.append((set(D), newcap))
+                    push(rest, newcap, False)
+                for c in lg.components(D):
+                    push(c, newcap, True)
             else:
-                stack.extend(reversed(subcands))
+                for c, ccap in subcands:
+                    push(c, ccap, False)
 
     results.sort(key=lambda r: (-r.density, sorted(r.vertices)))
     return results if k is None else results[:k]

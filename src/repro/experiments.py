@@ -236,8 +236,9 @@ def fig9_rows(
             if not lg.instances:
                 continue
             for k in ks:
+                st: dict = {}
                 t0 = time.perf_counter()
-                r_fast = ippv_local(lg, k=k, fast_verify=True)
+                r_fast = ippv_local(lg, k=k, fast_verify=True, stats=st)
                 t_fast = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 r_basic = ippv_local(lg, k=k, fast_verify=False)
@@ -248,7 +249,8 @@ def fig9_rows(
                 rows.append({"dataset": name, "h": h, "k": k,
                              "fast [s]": round(t_fast, 2),
                              "basic [s]": round(t_basic, 2),
-                             "speedup": f"{t_basic / t_fast:.2f}x"})
+                             "speedup": f"{t_basic / t_fast:.2f}x",
+                             "verify calls": st.get("verify_fast", 0)})
     return rows
 
 

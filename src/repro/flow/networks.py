@@ -14,8 +14,9 @@ be exact rationals):
   denser subgraph inside G[S]? One min-cut on the hyperedge
   densest-subgraph network at density rho + 1/(2|S|^2).
 - ``densest_sub`` / ``exact_decomposition``: exact maximal densest
-  subgraph (Dinkelbach iteration, terminating because the density strictly
-  increases and takes rational values with denominator <= n) and the
+  subgraph (Dinkelbach iteration, each step on the previous step's
+  maximizer only, terminating because the density strictly increases and
+  takes rational values with denominator <= n) and the
   diminishingly-dense decomposition by marginal density. By Theorem 2 the
   block densities are exactly the h-clique compact numbers; this is the
   exactness fallback and the flow-exact baseline (LTDS/LDSflow stand-in).
@@ -151,53 +152,61 @@ def densest_sub(
     extract the maximal maximizer of ``f(S) - rho|S|``; a strictly
     positive value yields a strictly denser S, otherwise the maximal
     maximizer is the maximal densest subgraph.
+
+    Each step runs on the previous step's S only (CoreExact's nesting,
+    Fang et al., VLDB 2019). For rho < rho', let A be the maximal
+    maximizer at rho and B any maximizer at rho'. f is supermodular, so
+    ``f(A | B) - f(A) >= f(B) - f(A & B)``; A's optimality at rho bounds
+    the left side by ``rho |B - A|`` and B's at rho' bounds the right side
+    below by ``rho' |B - A|``, which forces ``B <= A``. Every later
+    maximizer therefore lies inside S, where f is unchanged when only the
+    hyperedges inside S are kept: the steps, their number and the result
+    are those of the iteration on the whole vertex set.
     """
     verts = [v for v in vertices]
     if not verts:
         return set(), Fraction(0)
-    W = sum(hyperedges.values())
+    edges = list(hyperedges.items())
+    W = sum(w for _members, w in edges)
     if W == 0:
         return set(verts), Fraction(0)
-    vid = {v: i + 1 for i, v in enumerate(verts)}
-    edges = list(hyperedges.items())
-    inst_base = 1 + len(verts)
-    t = inst_base + len(edges)
-
-    # the arcs are the same at every rho; only the scaling changes. Unit
-    # capacities below are multiplied by rho's denominator, and the sink
-    # arcs (rho each) become rho's numerator.
-    us: list[int] = []
-    vs: list[int] = []
-    units: list[int] = []
-    for i, (members, w) in enumerate(edges):
-        nid = inst_base + i
-        us.append(0)
-        vs.append(nid)
-        units.append(w)
-        for v in members:
-            us.append(nid)
-            vs.append(vid[v])
-            units.append(W + 1)  # effectively infinite
-    us += range(1, inst_base)
-    vs += [t] * len(verts)
-
-    def solve(rho: Fraction) -> tuple[set[int], Fraction]:
-        L = rho.denominator
-        net = Dinic(t + 1)
-        net.add_edges(us, vs, [c * L for c in units] + [rho.numerator] * len(verts))
-        net.max_flow(0, t)
-        side = net.max_cut_source_side(t)
-        S = {v for v in verts if vid[v] in side}
-        fS = sum(w for members, w in edges if all(v in S for v in members))
-        return S, (Fraction(fS, len(S)) if S else Fraction(0))
-
     # at rho = 0 the maximal maximizer is always V itself, so start at d(V)
     rho = Fraction(W, len(verts))
     best: set[int] = set(verts)
     while True:
-        S, d = solve(rho)
-        if S and d > rho:
-            rho, best = d, S
+        # unit capacities are multiplied by rho's denominator, and the sink
+        # arcs (rho each) become rho's numerator
+        L = rho.denominator
+        vid = {v: i + 1 for i, v in enumerate(verts)}
+        inst_base = 1 + len(verts)
+        t = inst_base + len(edges)
+        big = (W + 1) * L  # effectively infinite
+        us: list[int] = []
+        vs: list[int] = []
+        caps: list[int] = []
+        for i, (members, w) in enumerate(edges):
+            nid = inst_base + i
+            us.append(0)
+            vs.append(nid)
+            caps.append(w * L)
+            for v in members:
+                us.append(nid)
+                vs.append(vid[v])
+                caps.append(big)
+        us += range(1, inst_base)
+        vs += [t] * len(verts)
+        caps += [rho.numerator] * len(verts)
+        net = Dinic(t + 1)
+        net.add_edges(us, vs, caps)
+        net.max_flow(0, t)
+        side = net.max_cut_source_side(t)
+        S = {v for v in verts if vid[v] in side}
+        inside = [(members, w) for members, w in edges if all(v in S for v in members)]
+        fS = sum(w for _members, w in inside)
+        if S and Fraction(fS, len(S)) > rho:
+            rho, best = Fraction(fS, len(S)), S
+            verts = [v for v in verts if v in S]
+            edges = inside
         else:
             # at rho == max density, the maximal maximizer of f - rho|S|
             # is the maximal densest subgraph (value 0 achieved by it)

@@ -145,11 +145,17 @@ class LocalGraph:
         return m
 
     def rows_within(self, mask: np.ndarray) -> np.ndarray:
-        """Indices of the instances whose members all lie in ``mask``."""
+        """Indices of the instances whose members all lie in ``mask``, ascending.
+
+        Costs O(t log t) for the t incidences of the ``mask`` vertices, not
+        O(|Psi|): a row occurs in them once per member inside ``mask``, so
+        it lies inside exactly when its sorted run reaches p - 1 places on.
+        """
         if self.inst is None:
             raise ValueError("graph has no instance hypergraph attached")
-        touch = csr_gather(self.inc_ptr, self.inc_idx, np.flatnonzero(mask))
-        return np.flatnonzero(np.bincount(touch, minlength=len(self.inst)) == self.p)
+        touch = np.sort(csr_gather(self.inc_ptr, self.inc_idx, np.flatnonzero(mask)))
+        run = touch[self.p - 1 :]
+        return run[run == touch[: len(run)]]
 
     def sub_instances(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(verts, loc)``: instance rows ``rows`` relabelled to 0..k-1.

@@ -67,3 +67,30 @@ def test_fw_two_passes_by_hand():
     alpha, r = fw_local(inst, 2)
     np.testing.assert_allclose(alpha, np.full((4, 2), 0.5))
     np.testing.assert_allclose(r, [1.0, 1.0, 1.5, 0.5])
+
+
+def _fw_reference(inst, T):
+    """The pass rule written with (row, column) indexing."""
+    m, p = inst.shape
+    n = int(inst.max()) + 1
+    alpha = np.full((m, p), 1.0 / p)
+    r = np.bincount(inst.ravel(), minlength=n) / p
+    rows = np.arange(m)
+    for t in range(1, T + 1):
+        gamma = 1.0 / (t + 1)
+        j = np.argmin(r[inst], axis=1)
+        alpha *= 1.0 - gamma
+        alpha[rows, j] += gamma
+        r = (1.0 - gamma) * r + gamma * np.bincount(inst[rows, j], minlength=n)
+    return alpha, r
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_fw_local_equals_reference(seed, h):
+    pdf = sd.er_graph_pd(n=40, m=200, seed=seed)
+    inst = local_from_pandas(pdf).with_cliques(h).inst
+    for T in (0, 1, 7):
+        alpha, r = fw_local(inst, T)
+        ref_alpha, ref_r = _fw_reference(inst, T)
+        assert (alpha == ref_alpha).all() and (r == ref_r).all()

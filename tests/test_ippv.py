@@ -8,6 +8,7 @@ entry points (enumerate on Spark, then the driver pipeline).
 """
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -49,8 +50,63 @@ def test_topk_guard_is_exact(seed, k):
     lg = _random_graph(seed + 100).with_cliques(3)
     full = ippv_local(lg, k=None)
     topk = ippv_local(lg, k=k)
-    assert len(topk) == min(k, len(full))
-    assert [r.density for r in topk] == [r.density for r in full][: len(topk)]
+    assert [(r.vertices, r.density) for r in topk] == [(r.vertices, r.density) for r in full[:k]]
+
+
+def _tied_cliques_graph():
+    """Seven K_6 (h=3 density 10/3 each) and two sparser blocks, all apart
+    from each other and hung on a sparse background."""
+    pdf = sd.planted_communities_pd(
+        n=160, m_background=180, blocks=[(6, 1.0)] * 7 + [(9, 0.5), (12, 0.4)], seed=5
+    )
+    return local_from_pandas(pdf).with_cliques(3)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_topk_ties_match_flow_exact(k):
+    """k cuts a seven-way tie: IPPV must return the canonical top-k, the
+    first k LhCDS by (-density, sorted vertices), as the reference does."""
+    lg = _tied_cliques_graph()
+    ref = flow_exact_lhcds(lg, k=None)
+    assert [r.density for r in ref[:7]] == [Fraction(10, 3)] * 7
+    want = [(r.vertices, r.density) for r in ref[:k]]
+    assert [(r.vertices, r.density) for r in ippv_local(lg, k=k)] == want
+    assert [(r.vertices, r.density) for r in flow_exact_lhcds(lg, k=k)] == want
+
+
+def test_topk_verifies_order_k_candidates():
+    """Forty near-tied dense blocks: best-first order with per-candidate
+    caps verifies O(k) candidates, not every block of the stable group.
+
+    How many candidates are verified depends on how far the T-pass caps
+    overshoot the blocks' densities: here T = 50 verifies 8 of the 40
+    blocks, the default T = 10 (caps about 15% high at h = 3) 23, and a
+    depth-first loop all 40 at any T.
+    """
+    pdf = sd.planted_communities_pd(n=1200, m_background=1500, blocks=[(18, 0.9)] * 40, seed=7)
+    lg = local_from_pandas(pdf).with_cliques(3)
+    k = 5
+    st = {}
+    got = ippv_local(lg, k=k, T=50, stats=st)
+    assert st["verify_fast"] <= 3 * k
+    full = ippv_local(lg, k=None, T=50)
+    assert len(full) == 40
+    assert [(r.vertices, r.density) for r in got] == [(r.vertices, r.density) for r in full[:k]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("h,q", [(2, 4), (3, 5), (3, 7), (4, 6)])
+def test_disjoint_clique_adds_one_lhcds(seed, h, q):
+    """Adding a K_q apart from the graph adds exactly one LhCDS, the K_q
+    itself, of density C(q, h)/q, and leaves the others unchanged."""
+    base = _random_graph(seed + 300)
+    fresh = range(base.n, base.n + q)
+    lg = LocalGraph(
+        edges=base.edges + [(u, v) for u in fresh for v in fresh if u < v]
+    ).with_cliques(h)
+    before = _key(ippv_local(base.with_cliques(h), k=None))
+    after = _key(ippv_local(lg, k=None))
+    assert after == sorted(before + [(tuple(fresh), Fraction(comb(q, h), q))])
 
 
 @pytest.mark.parametrize("name,h", [("HA-tiny", 3), ("GQ-tiny", 3), ("GQ-tiny", 4)])

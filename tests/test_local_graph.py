@@ -138,3 +138,12 @@ def test_touching_incidence(lg):
     if g.instances:
         v = g.instances[0][0]
         assert all(v in g.instances[i] for i in g.inc[v])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rows_within_random_masks(lg, seed):
+    g = lg.with_cliques(3)
+    rng = np.random.default_rng(seed)
+    for frac in (0.0, 0.3, 0.7, 1.0):
+        mask = rng.random(g.n) < frac
+        assert g.rows_within(mask).tolist() == np.flatnonzero(mask[g.inst].all(1)).tolist()
